@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-dist race-core race-ctlplane race-corpus race-codesign race-fork fuzz-smoke bench bench-sweep bench-dist bench-trace bench-core bench-pref bench-service advgen-smoke
+.PHONY: build vet test loc race race-dist race-core race-ctlplane race-corpus race-codesign race-fork fuzz-smoke bench bench-sweep bench-dist bench-trace bench-core bench-pref bench-service advgen-smoke
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,13 @@ test: build vet
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go line counts: the whole repository, all of internal/, then
+# one row per internal/ package (subpackages count with their parent).
+loc:
+	@printf '%7d total\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%7d internal/\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@for d in internal/*/; do printf '%7d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; done
 
 # Focused race pass over the concurrency-heavy layers (what CI runs).
 race-dist:

@@ -1,34 +1,26 @@
 package bpred
 
-import (
-	"fmt"
-
-	"repro/internal/isa"
-)
+import "fmt"
 
 // Snapshot is a deep copy of a predictor's dynamic state (gshare
 // counters, global history, BTB targets, RAS contents, statistics).
 type Snapshot struct {
-	counters  []uint8
-	history   uint64
-	btb       []isa.Addr
-	ras       []isa.Addr
-	rasTop    int
-	predicted uint64
-	wrong     uint64
+	state
+}
+
+// copyInto is the state's copy method (DESIGN.md §3.1): it returns s
+// with every slice moved onto dst's backing array, reused when large
+// enough.
+func (s state) copyInto(dst state) state {
+	s.counters = append(dst.counters[:0], s.counters...)
+	s.btb = append(dst.btb[:0], s.btb...)
+	s.ras = append(dst.ras[:0], s.ras...)
+	return s
 }
 
 // Snapshot captures the predictor's current state.
 func (p *Predictor) Snapshot() *Snapshot {
-	return &Snapshot{
-		counters:  append([]uint8(nil), p.counters...),
-		history:   p.history,
-		btb:       append([]isa.Addr(nil), p.btb...),
-		ras:       append([]isa.Addr(nil), p.ras...),
-		rasTop:    p.rasTop,
-		predicted: p.predicted,
-		wrong:     p.wrong,
-	}
+	return &Snapshot{p.state.copyInto(state{})}
 }
 
 // Restore overwrites the predictor's state with a copy of the
@@ -41,12 +33,6 @@ func (p *Predictor) Restore(s *Snapshot) error {
 		return fmt.Errorf("bpred: restore sizing mismatch: %d/%d/%d into %d/%d/%d",
 			len(s.counters), len(s.btb), len(s.ras), len(p.counters), len(p.btb), len(p.ras))
 	}
-	copy(p.counters, s.counters)
-	p.history = s.history
-	copy(p.btb, s.btb)
-	copy(p.ras, s.ras)
-	p.rasTop = s.rasTop
-	p.predicted = s.predicted
-	p.wrong = s.wrong
+	p.state = s.state.copyInto(p.state)
 	return nil
 }

@@ -174,7 +174,11 @@ func TestDirectMapped(t *testing.T) {
 	}
 }
 
+// TestResetAndCounters checks the lifetime counters, and that restoring
+// a cold snapshot — how a forked machine is reset — clears them along
+// with the lines.
 func TestResetAndCounters(t *testing.T) {
+	cold := small().Snapshot()
 	c := small()
 	c.Insert(0, Flags{})
 	c.Insert(4, Flags{})
@@ -185,7 +189,9 @@ func TestResetAndCounters(t *testing.T) {
 	if c.CountValid() != 2 {
 		t.Fatalf("CountValid = %d", c.CountValid())
 	}
-	c.Reset()
+	if err := c.Restore(cold); err != nil {
+		t.Fatal(err)
+	}
 	if c.CountValid() != 0 || c.Inserted() != 0 || c.Evicted() != 0 {
 		t.Fatal("reset incomplete")
 	}

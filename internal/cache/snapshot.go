@@ -1,36 +1,28 @@
 package cache
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/isa"
-)
-
-// Snapshot is a deep copy of a cache's dynamic state (tags, packed
-// metadata, per-set fill counts, lifetime counters, and the Random
-// policy's generator state). A snapshot is immutable once taken: Restore
-// copies out of it, so one snapshot can seed any number of machines.
+// Snapshot is a deep copy of a cache's dynamic state. A snapshot is
+// immutable once taken: Restore copies out of it, so one snapshot can
+// seed any number of machines.
 type Snapshot struct {
-	cfg      Config
-	lines    []isa.Line
-	meta     []uint8
-	fill     []uint8
-	inserted uint64
-	evicted  uint64
-	rngState uint64
+	cfg Config
+	state
+}
+
+// copyInto is the state's copy method (DESIGN.md §3.1): it returns s
+// with every slice moved onto dst's backing array, reused when large
+// enough.
+func (s state) copyInto(dst state) state {
+	s.lines = append(dst.lines[:0], s.lines...)
+	s.meta = append(dst.meta[:0], s.meta...)
+	s.fill = append(dst.fill[:0], s.fill...)
+	return s
 }
 
 // Snapshot captures the cache's current state.
 func (c *Cache) Snapshot() *Snapshot {
-	return &Snapshot{
-		cfg:      c.cfg,
-		lines:    append([]isa.Line(nil), c.lines...),
-		meta:     append([]uint8(nil), c.meta...),
-		fill:     append([]uint8(nil), c.fill...),
-		inserted: c.inserted,
-		evicted:  c.evicted,
-		rngState: c.rngState,
-	}
+	return &Snapshot{cfg: c.cfg, state: c.state.copyInto(state{})}
 }
 
 // Restore overwrites the cache's state with a copy of the snapshot's.
@@ -44,11 +36,6 @@ func (c *Cache) Restore(s *Snapshot) error {
 	if s.cfg.SizeBytes != c.cfg.SizeBytes || s.cfg.Assoc != c.cfg.Assoc || s.cfg.LineBytes != c.cfg.LineBytes {
 		return fmt.Errorf("cache: restore geometry mismatch: snapshot %+v into %+v", s.cfg, c.cfg)
 	}
-	copy(c.lines, s.lines)
-	copy(c.meta, s.meta)
-	copy(c.fill, s.fill)
-	c.inserted = s.inserted
-	c.evicted = s.evicted
-	c.rngState = s.rngState
+	c.state = s.state.copyInto(c.state)
 	return nil
 }

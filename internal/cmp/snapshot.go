@@ -14,26 +14,20 @@ import (
 // snapshot can seed any number of divergent measurement machines,
 // which is the mechanism behind fork-and-diverge batched sweeps.
 type Snapshot struct {
-	numCores int
-	mem      *core.MemSnapshot
-	cores    []*cpu.Snapshot
+	mem   *core.MemSnapshot
+	cores []*cpu.Snapshot
 }
 
 // Snapshot captures the machine's current state. It fails when any
 // core's prefetch scheme or workload source lacks snapshot support
 // (all registry-built schemes and both workload sources have it).
 func (s *System) Snapshot() (*Snapshot, error) {
-	snap := &Snapshot{
-		numCores: len(s.cores),
-		mem:      s.mem.Snapshot(),
-		cores:    make([]*cpu.Snapshot, len(s.cores)),
-	}
+	snap := &Snapshot{mem: s.mem.Snapshot(), cores: make([]*cpu.Snapshot, len(s.cores))}
 	for i, c := range s.cores {
-		cs, err := c.Snapshot()
-		if err != nil {
+		var err error
+		if snap.cores[i], err = c.Snapshot(); err != nil {
 			return nil, fmt.Errorf("cmp: core %d: %w", i, err)
 		}
-		snap.cores[i] = cs
 	}
 	return snap, nil
 }
@@ -48,8 +42,8 @@ func (s *System) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("cmp: restore from nil snapshot")
 	}
-	if snap.numCores != len(s.cores) {
-		return fmt.Errorf("cmp: restore %d-core snapshot into %d-core machine", snap.numCores, len(s.cores))
+	if len(snap.cores) != len(s.cores) {
+		return fmt.Errorf("cmp: restore %d-core snapshot into %d-core machine", len(snap.cores), len(s.cores))
 	}
 	if err := s.mem.Restore(snap.mem); err != nil {
 		return err

@@ -20,7 +20,8 @@ type lineSlot struct {
 // demand filter (line → occurrence count). It is sized at construction
 // to at least 4× the expected entry count, so linear probes stay short,
 // and uses backward-shift deletion so no tombstones accumulate on the
-// high-churn simulation hot path.
+// high-churn simulation hot path. Its mask and shift follow from the
+// table size, so the whole value is copied as state (see copyInto).
 type lineIndex struct {
 	slots []lineSlot
 	mask  uint64
@@ -29,12 +30,12 @@ type lineIndex struct {
 
 // newLineIndex builds an index able to hold n entries comfortably
 // (table size: next power of two ≥ 4n, minimum 16).
-func newLineIndex(n int) *lineIndex {
+func newLineIndex(n int) lineIndex {
 	size := 16
 	for size < 4*n {
 		size <<= 1
 	}
-	return &lineIndex{
+	return lineIndex{
 		slots: make([]lineSlot, size),
 		mask:  uint64(size - 1),
 		shift: uint(64 - bits.TrailingZeros(uint(size))),
@@ -155,9 +156,4 @@ func (t *lineIndex) delAt(h uint64) {
 			i = j
 		}
 	}
-}
-
-// reset empties the table.
-func (t *lineIndex) reset() {
-	clear(t.slots)
 }

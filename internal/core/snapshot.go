@@ -1,10 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/memory"
 	"repro/internal/prefetch"
 )
@@ -13,159 +13,91 @@ import (
 // snapshot/restore capability — the machine-state half of fork-and-
 // diverge batched sweeps. A snapshot is pristine: restoring copies FROM
 // it, so the same snapshot can seed any number of machines.
+//
+// Each copyInto below is a state's copy method (DESIGN.md §3.1): it
+// returns s with every slice moved onto dst's backing array (reused
+// when large enough), and a line index held by value copied into dst's.
 
-// lineIndexState is a deep copy of a lineIndex's slot array (mask and
-// shift are construction-time constants of the table size).
-type lineIndexState struct {
-	slots []lineSlot
+func (t lineIndex) copyInto(dst lineIndex) lineIndex {
+	t.slots = append(dst.slots[:0], t.slots...)
+	return t
 }
 
-func (t *lineIndex) snapshot() *lineIndexState {
-	return &lineIndexState{slots: append([]lineSlot(nil), t.slots...)}
+func (s queueState) copyInto(dst queueState) queueState {
+	s.entries = append(dst.entries[:0], s.entries...)
+	s.next = append(dst.next[:0], s.next...)
+	s.prev = append(dst.prev[:0], s.prev...)
+	s.idx = s.idx.copyInto(dst.idx)
+	return s
 }
 
-func (t *lineIndex) restore(s *lineIndexState) error {
-	if s == nil || len(s.slots) != len(t.slots) {
-		return fmt.Errorf("core: line index restore sizing mismatch")
-	}
-	copy(t.slots, s.slots)
-	return nil
+func (s recentState) copyInto(dst recentState) recentState {
+	s.ring = append(dst.ring[:0], s.ring...)
+	s.counts = s.counts.copyInto(dst.counts)
+	return s
 }
 
-// queueState is a deep copy of a PrefetchQueue: slots, both intrusive
-// lists, the line index, and the lifetime counters (which feed the
-// post-warm-up statistics baselines).
-type queueState struct {
-	entries []queueEntry
-	nextSeq uint64
-	idx     *lineIndexState
-	next    []int32
-	prev    []int32
-	wHead   int32
-	wTail   int32
-	mHead   int32
-	mTail   int32
-	waiting int
-	filled  int
-
-	pushed      uint64
-	droppedDup  uint64
-	droppedOld  uint64
-	invalidated uint64
-	hoisted     uint64
+func (s frontEndState) copyInto(dst frontEndState) frontEndState {
+	s.compBase = append(dst.compBase[:0], s.compBase...)
+	return s
 }
 
 func (q *PrefetchQueue) snapshot() *queueState {
-	return &queueState{
-		entries:     append([]queueEntry(nil), q.entries...),
-		nextSeq:     q.nextSeq,
-		idx:         q.idx.snapshot(),
-		next:        append([]int32(nil), q.next...),
-		prev:        append([]int32(nil), q.prev...),
-		wHead:       q.wHead,
-		wTail:       q.wTail,
-		mHead:       q.mHead,
-		mTail:       q.mTail,
-		waiting:     q.waiting,
-		filled:      q.filled,
-		pushed:      q.pushed,
-		droppedDup:  q.droppedDup,
-		droppedOld:  q.droppedOld,
-		invalidated: q.invalidated,
-		hoisted:     q.hoisted,
-	}
+	s := q.queueState.copyInto(queueState{})
+	return &s
 }
 
 func (q *PrefetchQueue) restore(s *queueState) error {
-	if s == nil || len(s.entries) != len(q.entries) {
+	if s == nil || len(s.entries) != len(q.entries) || len(s.idx.slots) != len(q.idx.slots) {
 		return fmt.Errorf("core: prefetch queue restore sizing mismatch")
 	}
-	if err := q.idx.restore(s.idx); err != nil {
-		return err
-	}
-	copy(q.entries, s.entries)
-	q.nextSeq = s.nextSeq
-	copy(q.next, s.next)
-	copy(q.prev, s.prev)
-	q.wHead, q.wTail, q.mHead, q.mTail = s.wHead, s.wTail, s.mHead, s.mTail
-	q.waiting = s.waiting
-	q.filled = s.filled
-	q.pushed = s.pushed
-	q.droppedDup = s.droppedDup
-	q.droppedOld = s.droppedOld
-	q.invalidated = s.invalidated
-	q.hoisted = s.hoisted
+	q.queueState = s.copyInto(q.queueState)
 	return nil
 }
 
-// recentState is a deep copy of a RecentList.
-type recentState struct {
-	ring   []isa.Line
-	used   int
-	head   int
-	counts *lineIndexState
-}
-
 func (r *RecentList) snapshot() *recentState {
-	return &recentState{
-		ring:   append([]isa.Line(nil), r.ring...),
-		used:   r.used,
-		head:   r.head,
-		counts: r.counts.snapshot(),
-	}
+	s := r.recentState.copyInto(recentState{})
+	return &s
 }
 
 func (r *RecentList) restore(s *recentState) error {
-	if s == nil || len(s.ring) != len(r.ring) {
+	if s == nil || len(s.ring) != len(r.ring) || len(s.counts.slots) != len(r.counts.slots) {
 		return fmt.Errorf("core: recent list restore sizing mismatch")
 	}
-	if err := r.counts.restore(s.counts); err != nil {
-		return err
-	}
-	copy(r.ring, s.ring)
-	r.used = s.used
-	r.head = s.head
+	r.recentState = s.copyInto(r.recentState)
 	return nil
 }
 
 // MemSnapshot is a deep copy of the shared memory system's dynamic
 // state: the L2 contents, the off-chip port schedule, the in-flight
-// tracker, and the lifetime writeback counter.
+// tracker, and the memory system's own counters.
 type MemSnapshot struct {
-	l2         *cache.Snapshot
-	port       *memory.PortSnapshot
-	inflight   *memory.InFlightSnapshot
-	writebacks uint64
+	memState
+	l2       *cache.Snapshot
+	port     *memory.PortSnapshot
+	inflight *memory.InFlightSnapshot
 }
 
 // Snapshot captures the memory system's current state.
 func (m *MemSystem) Snapshot() *MemSnapshot {
 	return &MemSnapshot{
-		l2:         m.l2.Snapshot(),
-		port:       m.port.Snapshot(),
-		inflight:   m.inflight.Snapshot(),
-		writebacks: m.writebacks,
+		memState: m.memState,
+		l2:       m.l2.Snapshot(),
+		port:     m.port.Snapshot(),
+		inflight: m.inflight.Snapshot(),
 	}
 }
 
 // Restore overwrites the memory system's state with a copy of the
-// snapshot's. The L2 geometry must match; the insert policy may differ
-// (policy is behaviour, not state).
+// snapshot's. The L2 geometry must match (each part checks its own;
+// every failure is reported); the insert policy may differ (policy is
+// behaviour, not state).
 func (m *MemSystem) Restore(s *MemSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("core: restore memory system from nil snapshot")
 	}
-	if err := m.l2.Restore(s.l2); err != nil {
-		return err
-	}
-	if err := m.port.Restore(s.port); err != nil {
-		return err
-	}
-	if err := m.inflight.Restore(s.inflight); err != nil {
-		return err
-	}
-	m.writebacks = s.writebacks
-	return nil
+	m.memState = s.memState
+	return errors.Join(m.l2.Restore(s.l2), m.port.Restore(s.port), m.inflight.Restore(s.inflight))
 }
 
 // FrontEndSnapshot is a deep copy of one front-end's dynamic state. The
@@ -176,6 +108,7 @@ func (m *MemSystem) Restore(s *MemSnapshot) error {
 // machine, not the scheme under test, when the scheme differs from the
 // warm-up configuration).
 type FrontEndSnapshot struct {
+	frontEndState
 	l1       *cache.Snapshot
 	queue    *queueState
 	recent   *recentState
@@ -183,73 +116,54 @@ type FrontEndSnapshot struct {
 
 	scheme      string
 	schemeState any
-
-	qBaseOverflow    uint64
-	qBaseInvalidated uint64
-	qBaseHoisted     uint64
-	compBase         []prefetch.ComponentCounters
-	expireTick       uint64
 }
 
-// Snapshot captures the front-end's current state. It fails when the
-// prefetch scheme does not implement prefetch.Snapshotter (all
-// registry-built schemes do).
-func (f *FrontEnd) Snapshot() (*FrontEndSnapshot, error) {
+// snapshotter returns the prefetch scheme's snapshot capability (all
+// registry-built schemes have one).
+func (f *FrontEnd) snapshotter() (prefetch.Snapshotter, error) {
 	snap, ok := f.pf.(prefetch.Snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("core: prefetch scheme %s does not support snapshots", f.pf.Name())
 	}
+	return snap, nil
+}
+
+// Snapshot captures the front-end's current state. It fails when the
+// prefetch scheme cannot be snapshotted.
+func (f *FrontEnd) Snapshot() (*FrontEndSnapshot, error) {
+	snap, err := f.snapshotter()
+	if err != nil {
+		return nil, err
+	}
 	return &FrontEndSnapshot{
-		l1:               f.l1.Snapshot(),
-		queue:            f.queue.snapshot(),
-		recent:           f.recent.snapshot(),
-		inflight:         f.inflight.Snapshot(),
-		scheme:           f.pf.Name(),
-		schemeState:      snap.SnapshotState(),
-		qBaseOverflow:    f.qBaseOverflow,
-		qBaseInvalidated: f.qBaseInvalidated,
-		qBaseHoisted:     f.qBaseHoisted,
-		compBase:         append([]prefetch.ComponentCounters(nil), f.compBase...),
-		expireTick:       f.expireTick,
+		frontEndState: f.frontEndState.copyInto(frontEndState{}),
+		l1:            f.l1.Snapshot(),
+		queue:         f.queue.snapshot(),
+		recent:        f.recent.snapshot(),
+		inflight:      f.inflight.Snapshot(),
+		scheme:        f.pf.Name(),
+		schemeState:   snap.SnapshotState(),
 	}, nil
 }
 
 // Restore overwrites the front-end's state with a copy of the
-// snapshot's. The L1 geometry and queue/filter capacities must match.
-// The issue policies (insertion depth, TLB fill, wrong path, FIFO) may
-// differ — they are behaviour, not state.
+// snapshot's. The L1 geometry and queue/filter capacities must match
+// (each part checks its own; every failure is reported). The issue
+// policies (insertion depth, TLB fill, wrong path, FIFO) may differ —
+// they are behaviour, not state.
 func (f *FrontEnd) Restore(s *FrontEndSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("core: restore front-end from nil snapshot")
 	}
-	if err := f.l1.Restore(s.l1); err != nil {
-		return err
-	}
-	if err := f.queue.restore(s.queue); err != nil {
-		return err
-	}
-	if err := f.recent.restore(s.recent); err != nil {
-		return err
-	}
-	if err := f.inflight.Restore(s.inflight); err != nil {
-		return err
-	}
-	if s.scheme == f.pf.Name() {
-		snap, ok := f.pf.(prefetch.Snapshotter)
-		if !ok {
-			return fmt.Errorf("core: prefetch scheme %s does not support snapshots", f.pf.Name())
-		}
-		if err := snap.RestoreState(s.schemeState); err != nil {
-			return err
-		}
-	} else {
+	if s.scheme != f.pf.Name() {
 		// Divergent scheme: the measurement machine starts it cold.
 		f.pf.Reset()
+	} else if snap, err := f.snapshotter(); err != nil {
+		return err
+	} else if err := snap.RestoreState(s.schemeState); err != nil {
+		return err
 	}
-	f.qBaseOverflow = s.qBaseOverflow
-	f.qBaseInvalidated = s.qBaseInvalidated
-	f.qBaseHoisted = s.qBaseHoisted
-	f.compBase = append(f.compBase[:0], s.compBase...)
-	f.expireTick = s.expireTick
-	return nil
+	f.frontEndState = s.frontEndState.copyInto(f.frontEndState)
+	return errors.Join(f.l1.Restore(s.l1), f.queue.restore(s.queue), f.recent.restore(s.recent),
+		f.inflight.Restore(s.inflight))
 }

@@ -75,6 +75,15 @@ func (s *Store) GC(opts GCOptions) (GCStats, error) {
 			live[ref.Hash] = struct{}{}
 		}
 	}
+	// The pending set is read before the manifests: an ingest that
+	// leaves it after this point has landed its manifest by then, so
+	// the listing below sees it. (Read after the listing, an ingest
+	// finishing in between would be in neither.)
+	s.mu.Lock()
+	for h := range s.pending {
+		live[h] = struct{}{}
+	}
+	s.mu.Unlock()
 	mans, err := s.List()
 	if err != nil {
 		return GCStats{}, fmt.Errorf("corpus: gc: %w", err)
@@ -93,12 +102,6 @@ func (s *Store) GC(opts GCOptions) (GCStats, error) {
 			mark(m)
 		}
 	}
-	s.mu.Lock()
-	for h := range s.pending {
-		live[h] = struct{}{}
-	}
-	s.mu.Unlock()
-
 	cutoff := time.Now().Add(-grace)
 
 	// Tombstones: one that is pinned keeps contributing its recipe

@@ -94,6 +94,14 @@ type Core struct {
 	src  workload.Source
 	cs   *stats.CoreStats
 
+	lineBytes int
+	state
+}
+
+// state is the core's own mutable state (see copyInto): the timing clock
+// and the block-granular fetch cursor. Its parts (caches, predictors,
+// front-end, statistics, workload source) carry theirs.
+type state struct {
 	clock      float64
 	startClock float64
 
@@ -103,8 +111,6 @@ type Core struct {
 	started     bool
 	lastLine    isa.Line
 	haveLast    bool
-
-	lineBytes int
 }
 
 // New builds a core. fe must share its MemSystem with the other cores of

@@ -30,9 +30,15 @@ type PortConfig struct {
 type Port struct {
 	latency       uint64
 	cyclesPerLine float64
-	nextFree      float64
-	transfers     uint64
-	busyCycles    float64
+	portState
+}
+
+// portState is the port's mutable state; Snapshot and Restore copy it
+// whole.
+type portState struct {
+	nextFree   float64
+	transfers  uint64
+	busyCycles float64
 }
 
 // NewPort builds a port; a zero or negative bandwidth means an infinite
@@ -76,13 +82,6 @@ func (p *Port) QueueDelay(now uint64) uint64 {
 	return uint64(p.nextFree - float64(now))
 }
 
-// Reset clears link state and counters.
-func (p *Port) Reset() {
-	p.nextFree = 0
-	p.transfers = 0
-	p.busyCycles = 0
-}
-
 // InFlight tracks lines whose fills have been initiated but not yet
 // completed — the simulator's MSHR file. A demand reference that finds
 // its line in flight waits only for the remaining latency instead of
@@ -96,13 +95,20 @@ func (p *Port) Reset() {
 // allocation or hashing indirection. The tracked set and every query
 // result are identical to the previous map-backed implementation.
 type InFlight struct {
+	cap int
+	inFlightState
+}
+
+// inFlightState is the tracker's mutable state, including the table
+// size (the table grows); Snapshot and Restore copy it whole (see
+// copyInto).
+type inFlightState struct {
 	keys  []isa.Line
 	vals  []uint64
 	live  []bool
 	mask  uint64
 	shift uint
 	n     int
-	cap   int
 }
 
 // NewInFlight creates a tracker with the given capacity. Capacity 0
@@ -254,9 +260,3 @@ func (f *InFlight) Expire(now uint64) {
 
 // Len returns the number of in-flight lines.
 func (f *InFlight) Len() int { return f.n }
-
-// Reset clears all entries.
-func (f *InFlight) Reset() {
-	clear(f.live)
-	f.n = 0
-}

@@ -1,21 +1,15 @@
 package memory
 
-import (
-	"fmt"
-
-	"repro/internal/isa"
-)
+import "fmt"
 
 // PortSnapshot is a deep copy of a port's dynamic state.
 type PortSnapshot struct {
-	nextFree   float64
-	transfers  uint64
-	busyCycles float64
+	portState
 }
 
 // Snapshot captures the port's current state.
 func (p *Port) Snapshot() *PortSnapshot {
-	return &PortSnapshot{nextFree: p.nextFree, transfers: p.transfers, busyCycles: p.busyCycles}
+	return &PortSnapshot{p.portState}
 }
 
 // Restore overwrites the port's state with the snapshot's.
@@ -23,9 +17,7 @@ func (p *Port) Restore(s *PortSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("memory: restore port from nil snapshot")
 	}
-	p.nextFree = s.nextFree
-	p.transfers = s.transfers
-	p.busyCycles = s.busyCycles
+	p.portState = s.portState
 	return nil
 }
 
@@ -33,41 +25,31 @@ func (p *Port) Restore(s *PortSnapshot) error {
 // whole open-addressed table (including its current size) is captured so
 // a restore reproduces probe order bit-for-bit.
 type InFlightSnapshot struct {
-	keys  []isa.Line
-	vals  []uint64
-	live  []bool
-	mask  uint64
-	shift uint
-	n     int
+	inFlightState
+}
+
+// copyInto is the state's copy method (DESIGN.md §3.1): it returns s
+// with every slice moved onto dst's backing array, reused when large
+// enough.
+func (s inFlightState) copyInto(dst inFlightState) inFlightState {
+	s.keys = append(dst.keys[:0], s.keys...)
+	s.vals = append(dst.vals[:0], s.vals...)
+	s.live = append(dst.live[:0], s.live...)
+	return s
 }
 
 // Snapshot captures the tracker's current state.
 func (f *InFlight) Snapshot() *InFlightSnapshot {
-	return &InFlightSnapshot{
-		keys:  append([]isa.Line(nil), f.keys...),
-		vals:  append([]uint64(nil), f.vals...),
-		live:  append([]bool(nil), f.live...),
-		mask:  f.mask,
-		shift: f.shift,
-		n:     f.n,
-	}
+	return &InFlightSnapshot{f.inFlightState.copyInto(inFlightState{})}
 }
 
 // Restore overwrites the tracker's state with a copy of the snapshot's.
-// The target's table is re-sized to the snapshot's (the tracker grows
+// The target's table takes the snapshot's size (the tracker grows
 // dynamically, so sizes legitimately differ across machines).
 func (f *InFlight) Restore(s *InFlightSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("memory: restore in-flight tracker from nil snapshot")
 	}
-	if len(f.keys) != len(s.keys) {
-		f.alloc(len(s.keys))
-	}
-	copy(f.keys, s.keys)
-	copy(f.vals, s.vals)
-	copy(f.live, s.live)
-	f.mask = s.mask
-	f.shift = s.shift
-	f.n = s.n
+	f.inFlightState = s.inFlightState.copyInto(f.inFlightState)
 	return nil
 }

@@ -19,6 +19,11 @@ import (
 // the resident entry nearest the new key's home position — losing a
 // credit is harmless (the predicting entry just misses one counter
 // increment), and unlike map iteration the victim is deterministic.
+//
+// Its configuration follows from its size, so the whole value is
+// copied as state (see copyInto) — the whole open-addressed array, not
+// just the live entries, so a copy reproduces probe order and eviction
+// choices bit-for-bit.
 type creditTable struct {
 	keys  []isa.Line
 	vals  []int32
@@ -30,12 +35,12 @@ type creditTable struct {
 }
 
 // newCreditTable builds a table holding at most limit entries.
-func newCreditTable(limit int) *creditTable {
+func newCreditTable(limit int) creditTable {
 	size := 16
 	for size < 2*limit {
 		size <<= 1
 	}
-	return &creditTable{
+	return creditTable{
 		keys:  make([]isa.Line, size),
 		vals:  make([]int32, size),
 		live:  make([]bool, size),

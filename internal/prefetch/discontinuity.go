@@ -121,9 +121,16 @@ func (c DiscontinuityConfig) TableBits() int {
 //   - Usefulness: when a prefetched target line is demand-used, the
 //     entry that predicted it gets its counter credited.
 type Discontinuity struct {
-	cfg      DiscontinuityConfig
-	name     string
-	mask     uint64
+	cfg  DiscontinuityConfig
+	name string
+	mask uint64
+	discontinuityState
+}
+
+// discontinuityState is the prediction table, the credit tables and the
+// lifetime counters (which feed diagnostics and attribution deltas);
+// see copyInto.
+type discontinuityState struct {
 	triggers []isa.Line
 	targets  []isa.Line
 	ctr      []uint8
@@ -134,18 +141,18 @@ type Discontinuity struct {
 	// them, for usefulness credit. A fixed-size open-addressed table
 	// (not a Go map — this is written on every probe hit); bounded, and
 	// stale entries are simply dropped.
-	pending *creditTable
+	pending creditTable
+
+	// targetSlots maps target lines to predicting slots for confidence
+	// feedback on L1 evictions; bounded like pending, and only
+	// allocated (non-empty) when the confidence filter is active.
+	targetSlots creditTable
 
 	allocations  uint64
 	replacements uint64
 	probes       uint64
 	probeHits    uint64
 	suppressed   uint64
-
-	// targetSlots maps target lines to predicting slots for confidence
-	// feedback on L1 evictions; bounded like pending, and only
-	// allocated when the confidence filter is active.
-	targetSlots *creditTable
 }
 
 const pendingCap = 512
@@ -172,15 +179,17 @@ func NewDiscontinuity(cfg DiscontinuityConfig) *Discontinuity {
 		name = "discontinuity"
 	}
 	p := &Discontinuity{
-		cfg:      cfg,
-		name:     name,
-		mask:     uint64(cfg.TableEntries - 1),
-		triggers: make([]isa.Line, cfg.TableEntries),
-		targets:  make([]isa.Line, cfg.TableEntries),
-		ctr:      make([]uint8, cfg.TableEntries),
-		conf:     make([]uint8, cfg.TableEntries),
-		valid:    make([]bool, cfg.TableEntries),
-		pending:  newCreditTable(pendingCap),
+		cfg:  cfg,
+		name: name,
+		mask: uint64(cfg.TableEntries - 1),
+		discontinuityState: discontinuityState{
+			triggers: make([]isa.Line, cfg.TableEntries),
+			targets:  make([]isa.Line, cfg.TableEntries),
+			ctr:      make([]uint8, cfg.TableEntries),
+			conf:     make([]uint8, cfg.TableEntries),
+			valid:    make([]bool, cfg.TableEntries),
+			pending:  newCreditTable(pendingCap),
+		},
 	}
 	if cfg.ConfidenceFilter {
 		p.targetSlots = newCreditTable(4 * pendingCap)
@@ -334,9 +343,7 @@ func (p *Discontinuity) Reset() {
 	clear(p.conf)
 	clear(p.valid)
 	p.pending.reset()
-	if p.targetSlots != nil {
-		p.targetSlots.reset()
-	}
+	p.targetSlots.reset()
 	p.allocations = 0
 	p.replacements = 0
 	p.probes = 0

@@ -140,20 +140,27 @@ type Composite struct {
 	evict  []prefetch.EvictionObserver // parallel to comps; nil = not an observer
 	branch []prefetch.BranchObserver   // parallel to comps; nil = not an observer
 
-	// Per-trigger-PC arbitration table: tag + per-component credit.
-	mask    uint64
-	pcTags  []isa.Line
-	pcValid []bool
-	credit  [][]uint8 // [component][slot]
+	mask uint64
 
+	scratch []isa.Line // reusable component candidate buffer
+	compositeState
+}
+
+// compositeState is the arbiter's own mutable state (see copyInto); the
+// components carry theirs.
+type compositeState struct {
 	// attr owns lines the arbiter emitted; shadow remembers suppressed
 	// proposals. Both are first-proposer-wins (see ownerTable).
-	attr   *ownerTable
-	shadow *ownerTable
+	attr   ownerTable
+	shadow ownerTable
 
-	stats   []compStats // len(comps)+1; last is the unattributed bucket
-	ewma    []uint32    // per-component accuracy estimate, 16-bit fraction
-	scratch []isa.Line  // reusable component candidate buffer
+	// Per-trigger-PC arbitration table: tag + per-component credit.
+	pcTags  []isa.Line
+	pcValid []bool
+	credit  []uint8 // [component*TableEntries + slot]
+
+	stats []compStats // len(comps)+1; last is the unattributed bucket
+	ewma  []uint32    // per-component accuracy estimate, 16-bit fraction
 }
 
 // NewComposite wraps comps behind an arbiter. The name is the composite
@@ -178,17 +185,18 @@ func NewComposite(name string, comps []prefetch.Prefetcher, cfg Config) *Composi
 		evict:   make([]prefetch.EvictionObserver, len(comps)),
 		branch:  make([]prefetch.BranchObserver, len(comps)),
 		mask:    uint64(cfg.TableEntries - 1),
-		pcTags:  make([]isa.Line, cfg.TableEntries),
-		pcValid: make([]bool, cfg.TableEntries),
-		credit:  make([][]uint8, len(comps)),
-		attr:    newOwnerTable(cfg.OwnerEntries),
-		shadow:  newOwnerTable(cfg.OwnerEntries),
-		stats:   make([]compStats, len(comps)+1),
-		ewma:    make([]uint32, len(comps)),
 		scratch: make([]isa.Line, 0, 32),
+		compositeState: compositeState{
+			attr:    newOwnerTable(cfg.OwnerEntries),
+			shadow:  newOwnerTable(cfg.OwnerEntries),
+			pcTags:  make([]isa.Line, cfg.TableEntries),
+			pcValid: make([]bool, cfg.TableEntries),
+			credit:  make([]uint8, len(comps)*cfg.TableEntries),
+			stats:   make([]compStats, len(comps)+1),
+			ewma:    make([]uint32, len(comps)),
+		},
 	}
 	for i, p := range comps {
-		c.credit[i] = make([]uint8, cfg.TableEntries)
 		c.ewma[i] = ewmaOne / 2
 		if eo, ok := p.(prefetch.EvictionObserver); ok {
 			c.evict[i] = eo
@@ -248,11 +256,16 @@ func (c *Composite) pcSlot(l isa.Line) uint64 {
 	h := uint64(l) & c.mask
 	if !c.pcValid[h] || c.pcTags[h] != l {
 		c.pcTags[h], c.pcValid[h] = l, true
-		for i := range c.credit {
-			c.credit[i][h] = c.cfg.CreditInit
+		for i := range c.comps {
+			*c.creditAt(i, h) = c.cfg.CreditInit
 		}
 	}
 	return h
+}
+
+// creditAt returns component comp's credit counter at arbitration slot.
+func (c *Composite) creditAt(comp int, slot uint64) *uint8 {
+	return &c.credit[comp*len(c.pcTags)+int(slot)]
 }
 
 // budget returns component i's per-fetch emission budget: halved while
@@ -291,7 +304,7 @@ func (c *Composite) arbitrate(i int, slot uint64, cands []isa.Line, out []isa.Li
 		cands = cands[:b]
 	}
 	owner := pack(i, slot)
-	if c.credit[i][slot] > 0 {
+	if *c.creditAt(i, slot) > 0 {
 		st.emitted += uint64(len(cands))
 		for _, l := range cands {
 			out = append(out, l)
@@ -379,8 +392,8 @@ func (c *Composite) OnPrefetchUseful(line isa.Line) {
 }
 
 func (c *Composite) bumpCredit(comp int, slot uint64) {
-	if c.credit[comp][slot] < c.cfg.CreditMax {
-		c.credit[comp][slot]++
+	if cr := c.creditAt(comp, slot); *cr < c.cfg.CreditMax {
+		*cr++
 	}
 }
 
@@ -405,8 +418,8 @@ func (c *Composite) OnL1Eviction(line isa.Line, wasUsed bool) {
 		comp, slot := unpack(v)
 		c.attr.del(line)
 		if !wasUsed {
-			if c.credit[comp][slot] > 0 {
-				c.credit[comp][slot]--
+			if cr := c.creditAt(comp, slot); *cr > 0 {
+				*cr--
 			}
 			c.bumpEWMA(comp, false)
 		}
@@ -452,8 +465,8 @@ func (c *Composite) Reset() {
 	}
 	clear(c.pcTags)
 	clear(c.pcValid)
-	for i := range c.credit {
-		clear(c.credit[i])
+	clear(c.credit)
+	for i := range c.ewma {
 		c.ewma[i] = ewmaOne / 2
 	}
 	c.attr.reset()

@@ -18,6 +18,8 @@ import (
 // only the FIRST proposal claims the queue slot and becomes the issued
 // prefetch, so a last-writer-wins table (like creditTable.put) would
 // credit the useful fill to a component whose proposal was discarded.
+//
+// Like creditTable, the whole value is copied as state (see copyInto).
 type ownerTable struct {
 	keys  []isa.Line
 	vals  []uint32
@@ -29,12 +31,12 @@ type ownerTable struct {
 }
 
 // newOwnerTable builds a table holding at most limit entries.
-func newOwnerTable(limit int) *ownerTable {
+func newOwnerTable(limit int) ownerTable {
 	size := 16
 	for size < 2*limit {
 		size <<= 1
 	}
-	return &ownerTable{
+	return ownerTable{
 		keys:  make([]isa.Line, size),
 		vals:  make([]uint32, size),
 		live:  make([]bool, size),

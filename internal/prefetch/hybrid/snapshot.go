@@ -3,86 +3,49 @@ package hybrid
 import (
 	"fmt"
 
-	"repro/internal/isa"
 	"repro/internal/prefetch"
 )
 
-// ownerState is a deep copy of an ownerTable. Like the prefetch
-// package's creditState, the whole open-addressed array is captured so
-// a restore reproduces probe order and eviction choices bit-for-bit.
-type ownerState struct {
-	keys []isa.Line
-	vals []uint32
-	live []bool
-	n    int
+// Each copyInto below is a state's copy method (DESIGN.md §3.1): it
+// returns s with every slice moved onto dst's backing array (reused
+// when large enough), and an owner table held by value copied into
+// dst's.
+
+func (t ownerTable) copyInto(dst ownerTable) ownerTable {
+	t.keys = append(dst.keys[:0], t.keys...)
+	t.vals = append(dst.vals[:0], t.vals...)
+	t.live = append(dst.live[:0], t.live...)
+	return t
 }
 
-// snapshot deep-copies the table's dynamic state.
-func (t *ownerTable) snapshot() *ownerState {
-	return &ownerState{
-		keys: append([]isa.Line(nil), t.keys...),
-		vals: append([]uint32(nil), t.vals...),
-		live: append([]bool(nil), t.live...),
-		n:    t.n,
-	}
+func (s compositeState) copyInto(dst compositeState) compositeState {
+	s.pcTags = append(dst.pcTags[:0], s.pcTags...)
+	s.pcValid = append(dst.pcValid[:0], s.pcValid...)
+	s.credit = append(dst.credit[:0], s.credit...)
+	s.stats = append(dst.stats[:0], s.stats...)
+	s.ewma = append(dst.ewma[:0], s.ewma...)
+	s.attr = s.attr.copyInto(dst.attr)
+	s.shadow = s.shadow.copyInto(dst.shadow)
+	return s
 }
 
-// restore overwrites the table's state with a copy of the snapshot's.
-func (t *ownerTable) restore(s *ownerState) error {
-	if s == nil {
-		return fmt.Errorf("hybrid: owner table restore from nil snapshot")
-	}
-	if len(s.keys) != len(t.keys) {
-		return fmt.Errorf("hybrid: owner table restore sizing mismatch: %d into %d", len(s.keys), len(t.keys))
-	}
-	copy(t.keys, s.keys)
-	copy(t.vals, s.vals)
-	copy(t.live, s.live)
-	t.n = s.n
-	return nil
+// compositeSnapshot is a Composite's arbitration state plus one opaque
+// state per component (recursively captured through
+// prefetch.Snapshotter).
+type compositeSnapshot struct {
+	compositeState
+	comps []any
 }
 
-// compositeState is the dynamic state of a Composite: the arbitration
-// table (tags + per-component credit rows), both owner tables, the
-// per-component counter blocks and accuracy EWMAs, and one opaque state
-// per component (recursively captured through prefetch.Snapshotter).
-type compositeState struct {
-	pcTags  []isa.Line
-	pcValid []bool
-	credit  [][]uint8
-	attr    *ownerState
-	shadow  *ownerState
-	stats   []compStats
-	ewma    []uint32
-	comps   []any
-}
-
-// SnapshotState implements prefetch.Snapshotter. Every component must
-// itself be a Snapshotter (all registry-constructible schemes are; the
-// registry rejects nested hybrids), so the recursion terminates at the
-// leaf schemes' explicit state copies.
+// SnapshotState implements prefetch.Snapshotter. Every
+// registry-constructible scheme is a Snapshotter and the registry
+// rejects nested hybrids, so the recursion ends at the leaf schemes; a
+// hand-assembled composite with another component panics here rather
+// than silently dropping its state.
 func (c *Composite) SnapshotState() any {
-	s := &compositeState{
-		pcTags:  append([]isa.Line(nil), c.pcTags...),
-		pcValid: append([]bool(nil), c.pcValid...),
-		credit:  make([][]uint8, len(c.credit)),
-		attr:    c.attr.snapshot(),
-		shadow:  c.shadow.snapshot(),
-		stats:   append([]compStats(nil), c.stats...),
-		ewma:    append([]uint32(nil), c.ewma...),
-		comps:   make([]any, len(c.comps)),
-	}
-	for i, row := range c.credit {
-		s.credit[i] = append([]uint8(nil), row...)
-	}
+	s := &compositeSnapshot{c.compositeState.copyInto(compositeState{}), make([]any, len(c.comps))}
 	for i, p := range c.comps {
-		snap, ok := p.(prefetch.Snapshotter)
-		if !ok {
-			// Unreachable for registry-built composites; fail loudly for
-			// hand-assembled ones rather than silently dropping state.
-			panic(fmt.Sprintf("hybrid: component %s does not implement prefetch.Snapshotter", c.labels[i]))
-		}
-		s.comps[i] = snap.SnapshotState()
+		s.comps[i] = p.(prefetch.Snapshotter).SnapshotState()
 	}
 	return s
 }
@@ -91,27 +54,16 @@ func (c *Composite) SnapshotState() any {
 // identically-configured composite (same component list, same arbiter
 // geometry).
 func (c *Composite) RestoreState(state any) error {
-	s, ok := state.(*compositeState)
+	s, ok := state.(*compositeSnapshot)
 	if !ok {
 		return fmt.Errorf("hybrid: composite restore from %T", state)
 	}
-	if len(s.pcTags) != len(c.pcTags) || len(s.comps) != len(c.comps) {
+	if len(s.pcTags) != len(c.pcTags) || len(s.comps) != len(c.comps) ||
+		len(s.attr.keys) != len(c.attr.keys) || len(s.shadow.keys) != len(c.shadow.keys) {
 		return fmt.Errorf("hybrid: composite restore sizing mismatch: %d slots/%d comps into %d/%d",
 			len(s.pcTags), len(s.comps), len(c.pcTags), len(c.comps))
 	}
-	copy(c.pcTags, s.pcTags)
-	copy(c.pcValid, s.pcValid)
-	for i := range c.credit {
-		copy(c.credit[i], s.credit[i])
-	}
-	if err := c.attr.restore(s.attr); err != nil {
-		return err
-	}
-	if err := c.shadow.restore(s.shadow); err != nil {
-		return err
-	}
-	copy(c.stats, s.stats)
-	copy(c.ewma, s.ewma)
+	c.compositeState = s.compositeState.copyInto(c.compositeState)
 	for i, p := range c.comps {
 		snap, ok := p.(prefetch.Snapshotter)
 		if !ok {

@@ -17,16 +17,24 @@ import (
 // trigger, trading accuracy for coverage of multi-target transitions.
 // It is included as a related-work baseline (paper Section 2.2).
 type Markov struct {
-	mask    uint64
+	mask uint64
+	ways int
+	markovState
+}
+
+// markovState is the prefetcher's mutable state (see copyInto).
+type markovState struct {
 	entries []mentry
-	ways    int
+	// succ holds each entry's successor list, MRU first, in a flat
+	// array: entry i owns succ[i*ways : i*ways+entries[i].n].
+	succ    []isa.Line
 	last    isa.Line
 	started bool
 }
 
 type mentry struct {
 	line  isa.Line
-	succ  []isa.Line // MRU first
+	n     int32 // recorded successors
 	valid bool
 }
 
@@ -39,19 +47,24 @@ func NewMarkov(tableEntries, ways int) *Markov {
 	if ways < 1 {
 		panic("prefetch: markov ways must be >= 1")
 	}
-	m := &Markov{
-		mask:    uint64(tableEntries - 1),
-		entries: make([]mentry, tableEntries),
-		ways:    ways,
+	return &Markov{
+		mask: uint64(tableEntries - 1),
+		ways: ways,
+		markovState: markovState{
+			entries: make([]mentry, tableEntries),
+			succ:    make([]isa.Line, tableEntries*ways),
+		},
 	}
-	for i := range m.entries {
-		m.entries[i].succ = make([]isa.Line, 0, ways)
-	}
-	return m
 }
 
 // Name implements Prefetcher.
 func (p *Markov) Name() string { return fmt.Sprintf("markov%dx%d", len(p.entries), p.ways) }
+
+// successors returns entry i's full successor window (capacity ways).
+func (p *Markov) successors(i uint64) []isa.Line {
+	base := int(i) * p.ways
+	return p.succ[base : base+p.ways]
+}
 
 // OnFetch implements Prefetcher: train on every transition, predict on
 // misses and prefetch-tag hits.
@@ -65,33 +78,35 @@ func (p *Markov) OnFetch(ev Event, out []isa.Line) []isa.Line {
 	if !(ev.Miss || ev.PrefetchHit) {
 		return out
 	}
-	e := &p.entries[uint64(ev.Line)&p.mask]
-	if e.valid && e.line == ev.Line {
-		out = append(out, e.succ...)
+	i := uint64(ev.Line) & p.mask
+	if e := &p.entries[i]; e.valid && e.line == ev.Line {
+		out = append(out, p.successors(i)[:e.n]...)
 	}
 	return out
 }
 
 func (p *Markov) train(from, to isa.Line) {
-	e := &p.entries[uint64(from)&p.mask]
+	i := uint64(from) & p.mask
+	e := &p.entries[i]
 	if !e.valid || e.line != from {
 		e.line = from
 		e.valid = true
-		e.succ = e.succ[:0]
+		e.n = 0
 	}
+	win := p.successors(i)
 	// Move-to-front if present.
-	for i, s := range e.succ {
+	for j, s := range win[:e.n] {
 		if s == to {
-			copy(e.succ[1:i+1], e.succ[0:i])
-			e.succ[0] = to
+			copy(win[1:j+1], win[0:j])
+			win[0] = to
 			return
 		}
 	}
-	if len(e.succ) < p.ways {
-		e.succ = append(e.succ, 0)
+	if int(e.n) < p.ways {
+		e.n++
 	}
-	copy(e.succ[1:], e.succ[0:len(e.succ)-1])
-	e.succ[0] = to
+	copy(win[1:e.n], win[0:e.n-1])
+	win[0] = to
 }
 
 // OnDiscontinuity implements Prefetcher (training happens in OnFetch).
@@ -104,7 +119,7 @@ func (p *Markov) OnPrefetchUseful(isa.Line) {}
 func (p *Markov) Reset() {
 	for i := range p.entries {
 		p.entries[i].valid = false
-		p.entries[i].succ = p.entries[i].succ[:0]
+		p.entries[i].n = 0
 	}
 	p.started = false
 	p.last = 0

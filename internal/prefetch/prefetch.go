@@ -50,7 +50,7 @@ type Prefetcher interface {
 }
 
 // None is the no-prefetch baseline.
-type None struct{}
+type None struct{ stateless }
 
 // NewNone returns the baseline no-op prefetcher.
 func NewNone() *None { return &None{} }
@@ -98,6 +98,7 @@ func (t Trigger) fires(ev Event) bool {
 // NextN is the sequential prefetcher family: on a triggering fetch of
 // line L it emits L+1 … L+Degree.
 type NextN struct {
+	stateless
 	name    string
 	trigger Trigger
 	degree  int
@@ -158,6 +159,7 @@ func (p *NextN) Reset() {}
 // next-line without N-per-trigger bandwidth, but gaps at control
 // transfers.
 type Lookahead struct {
+	stateless
 	distance int
 }
 

@@ -2,8 +2,7 @@ package prefetch
 
 import (
 	"fmt"
-
-	"repro/internal/isa"
+	"maps"
 )
 
 // Snapshotter is the snapshot capability of a prefetch scheme: a deep
@@ -28,348 +27,144 @@ type Snapshotter interface {
 	RestoreState(state any) error
 }
 
-// expectNil is the RestoreState body shared by the stateless schemes.
-func expectNil(name string, state any) error {
+// stateless implements Snapshotter for schemes without dynamic state.
+type stateless struct{}
+
+// SnapshotState and RestoreState implement Snapshotter.
+func (stateless) SnapshotState() any { return nil }
+func (stateless) RestoreState(state any) error {
 	if state != nil {
-		return fmt.Errorf("prefetch: %s is stateless but restore got %T", name, state)
+		return fmt.Errorf("prefetch: stateless scheme restore got %T", state)
 	}
 	return nil
 }
 
-// SnapshotState implements Snapshotter (stateless).
-func (p *None) SnapshotState() any { return nil }
-
-// RestoreState implements Snapshotter (stateless).
-func (p *None) RestoreState(state any) error { return expectNil(p.Name(), state) }
-
-// SnapshotState implements Snapshotter (stateless).
-func (p *NextN) SnapshotState() any { return nil }
-
-// RestoreState implements Snapshotter (stateless).
-func (p *NextN) RestoreState(state any) error { return expectNil(p.Name(), state) }
-
-// SnapshotState implements Snapshotter (stateless).
-func (p *Lookahead) SnapshotState() any { return nil }
-
-// RestoreState implements Snapshotter (stateless).
-func (p *Lookahead) RestoreState(state any) error { return expectNil(p.Name(), state) }
-
-// SnapshotState implements Snapshotter (the sequential base is a
-// stateless NextN; branch-resolution prefetches carry no history).
-func (p *WrongPath) SnapshotState() any { return nil }
-
-// RestoreState implements Snapshotter (stateless).
-func (p *WrongPath) RestoreState(state any) error { return expectNil(p.Name(), state) }
-
-// streamsState is the dynamic state of a Streams prefetcher.
-type streamsState struct {
-	streams []stream
-	tick    uint64
+// schemeState is a stateful scheme's embedded state struct. copyInto
+// is its copy method (DESIGN.md §3.1): it returns s with every slice
+// moved onto dst's backing array (reused when large enough), every map
+// cloned, and every table held by value copied into dst's. geometry is
+// the table sizing a restore must match.
+type schemeState[S any] interface {
+	copyInto(dst S) S
+	geometry() [3]int
 }
 
-// SnapshotState implements Snapshotter.
-func (p *Streams) SnapshotState() any {
-	return &streamsState{streams: append([]stream(nil), p.streams...), tick: p.tick}
+// snapshotOf copies a scheme's state into a zero value.
+func snapshotOf[S schemeState[S]](live S) any {
+	var zero S
+	s := live.copyInto(zero)
+	return &s
 }
 
-// RestoreState implements Snapshotter.
-func (p *Streams) RestoreState(state any) error {
-	s, ok := state.(*streamsState)
+// restoreInto checks that state came from an identically-sized scheme
+// and copies it into live.
+func restoreInto[S schemeState[S]](scheme string, live *S, state any) error {
+	s, ok := state.(*S)
 	if !ok {
-		return fmt.Errorf("prefetch: streams restore from %T", state)
+		return fmt.Errorf("prefetch: %s restore from %T", scheme, state)
 	}
-	if len(s.streams) != len(p.streams) {
-		return fmt.Errorf("prefetch: streams restore sizing mismatch: %d into %d", len(s.streams), len(p.streams))
+	if got, want := (*s).geometry(), (*live).geometry(); got != want {
+		return fmt.Errorf("prefetch: %s restore sizing mismatch: %v into %v", scheme, got, want)
 	}
-	copy(p.streams, s.streams)
-	p.tick = s.tick
+	*live = (*s).copyInto(*live)
 	return nil
 }
 
-// targetState is the dynamic state of a Target prefetcher.
-type targetState struct {
-	entries []tentry
-	last    isa.Line
-	started bool
-}
-
-// SnapshotState implements Snapshotter.
-func (p *Target) SnapshotState() any {
-	return &targetState{entries: append([]tentry(nil), p.entries...), last: p.last, started: p.started}
-}
-
-// RestoreState implements Snapshotter.
-func (p *Target) RestoreState(state any) error {
-	s, ok := state.(*targetState)
-	if !ok {
-		return fmt.Errorf("prefetch: target restore from %T", state)
-	}
-	if len(s.entries) != len(p.entries) {
-		return fmt.Errorf("prefetch: target restore sizing mismatch: %d into %d", len(s.entries), len(p.entries))
-	}
-	copy(p.entries, s.entries)
-	p.last = s.last
-	p.started = s.started
-	return nil
-}
-
-// markovState is the dynamic state of a Markov prefetcher. Successor
-// lists are deep-copied: the live table mutates them in place.
-type markovState struct {
-	entries []mentry
-	last    isa.Line
-	started bool
-}
-
-// SnapshotState implements Snapshotter.
-func (p *Markov) SnapshotState() any {
-	entries := make([]mentry, len(p.entries))
-	for i, e := range p.entries {
-		entries[i] = mentry{line: e.line, succ: append([]isa.Line(nil), e.succ...), valid: e.valid}
-	}
-	return &markovState{entries: entries, last: p.last, started: p.started}
-}
-
-// RestoreState implements Snapshotter.
-func (p *Markov) RestoreState(state any) error {
-	s, ok := state.(*markovState)
-	if !ok {
-		return fmt.Errorf("prefetch: markov restore from %T", state)
-	}
-	if len(s.entries) != len(p.entries) {
-		return fmt.Errorf("prefetch: markov restore sizing mismatch: %d into %d", len(s.entries), len(p.entries))
-	}
-	for i := range p.entries {
-		e := &p.entries[i]
-		src := &s.entries[i]
-		e.line = src.line
-		e.valid = src.valid
-		e.succ = append(e.succ[:0], src.succ...)
-	}
-	p.last = s.last
-	p.started = s.started
-	return nil
-}
-
-// creditState is a deep copy of a creditTable. The whole open-addressed
-// array is captured (not just the live entries) so a restore reproduces
-// probe order and eviction choices bit-for-bit.
-type creditState struct {
-	keys []isa.Line
-	vals []int32
-	live []bool
-	n    int
-}
-
-// snapshot deep-copies the table's dynamic state.
-func (t *creditTable) snapshot() *creditState {
-	return &creditState{
-		keys: append([]isa.Line(nil), t.keys...),
-		vals: append([]int32(nil), t.vals...),
-		live: append([]bool(nil), t.live...),
-		n:    t.n,
-	}
-}
-
-// restore overwrites the table's state with a copy of the snapshot's.
-// The target must be sized identically (mask/shift/limit are config).
-func (t *creditTable) restore(s *creditState) error {
-	if s == nil {
-		return fmt.Errorf("prefetch: credit table restore from nil snapshot")
-	}
-	if len(s.keys) != len(t.keys) {
-		return fmt.Errorf("prefetch: credit table restore sizing mismatch: %d into %d", len(s.keys), len(t.keys))
-	}
-	copy(t.keys, s.keys)
-	copy(t.vals, s.vals)
-	copy(t.live, s.live)
-	t.n = s.n
-	return nil
-}
-
-// discontinuityState is the dynamic state of a Discontinuity prefetcher:
-// the prediction table arrays, both credit tables, and the lifetime
-// counters (which feed diagnostics and attribution deltas).
-type discontinuityState struct {
-	triggers []isa.Line
-	targets  []isa.Line
-	ctr      []uint8
-	conf     []uint8
-	valid    []bool
-
-	pending     *creditState
-	targetSlots *creditState
-
-	allocations  uint64
-	replacements uint64
-	probes       uint64
-	probeHits    uint64
-	suppressed   uint64
-}
-
-// SnapshotState implements Snapshotter.
-func (p *Discontinuity) SnapshotState() any {
-	s := &discontinuityState{
-		triggers:     append([]isa.Line(nil), p.triggers...),
-		targets:      append([]isa.Line(nil), p.targets...),
-		ctr:          append([]uint8(nil), p.ctr...),
-		conf:         append([]uint8(nil), p.conf...),
-		valid:        append([]bool(nil), p.valid...),
-		pending:      p.pending.snapshot(),
-		allocations:  p.allocations,
-		replacements: p.replacements,
-		probes:       p.probes,
-		probeHits:    p.probeHits,
-		suppressed:   p.suppressed,
-	}
-	if p.targetSlots != nil {
-		s.targetSlots = p.targetSlots.snapshot()
-	}
+func (s streamsState) copyInto(dst streamsState) streamsState {
+	s.streams = append(dst.streams[:0], s.streams...)
 	return s
 }
 
-// RestoreState implements Snapshotter.
-func (p *Discontinuity) RestoreState(state any) error {
-	s, ok := state.(*discontinuityState)
-	if !ok {
-		return fmt.Errorf("prefetch: discontinuity restore from %T", state)
-	}
-	if len(s.triggers) != len(p.triggers) {
-		return fmt.Errorf("prefetch: discontinuity restore sizing mismatch: %d into %d", len(s.triggers), len(p.triggers))
-	}
-	if (s.targetSlots != nil) != (p.targetSlots != nil) {
-		return fmt.Errorf("prefetch: discontinuity restore confidence-filter mismatch")
-	}
-	copy(p.triggers, s.triggers)
-	copy(p.targets, s.targets)
-	copy(p.ctr, s.ctr)
-	copy(p.conf, s.conf)
-	copy(p.valid, s.valid)
-	if err := p.pending.restore(s.pending); err != nil {
-		return err
-	}
-	if p.targetSlots != nil {
-		if err := p.targetSlots.restore(s.targetSlots); err != nil {
-			return err
-		}
-	}
-	p.allocations = s.allocations
-	p.replacements = s.replacements
-	p.probes = s.probes
-	p.probeHits = s.probeHits
-	p.suppressed = s.suppressed
-	return nil
+func (s streamsState) geometry() [3]int { return [3]int{len(s.streams)} }
+
+// SnapshotState and RestoreState implement Snapshotter.
+func (p *Streams) SnapshotState() any { return snapshotOf(p.streamsState) }
+func (p *Streams) RestoreState(state any) error {
+	return restoreInto("streams", &p.streamsState, state)
 }
 
-// manaState is the dynamic state of a MANA prefetcher: the trigger
-// table, record table, footprint dedup index (a deep-copied map), the
-// round-robin hand, the open training region, and lifetime counters.
-type manaState struct {
-	trigTags  []isa.Line
-	trigRec   []int32
-	trigValid []bool
-	records   []uint32
-	recIndex  map[uint32]int32
-	recHand   int
-	curBase   isa.Line
-	curFoot   uint32
-	curValid  bool
-	commits   uint64
-	dedups    uint64
+func (s targetState) copyInto(dst targetState) targetState {
+	s.entries = append(dst.entries[:0], s.entries...)
+	return s
 }
 
-// SnapshotState implements Snapshotter.
-func (p *MANA) SnapshotState() any {
-	idx := make(map[uint32]int32, len(p.recIndex))
-	for k, v := range p.recIndex {
-		idx[k] = v
-	}
-	return &manaState{
-		trigTags:  append([]isa.Line(nil), p.trigTags...),
-		trigRec:   append([]int32(nil), p.trigRec...),
-		trigValid: append([]bool(nil), p.trigValid...),
-		records:   append([]uint32(nil), p.records...),
-		recIndex:  idx,
-		recHand:   p.recHand,
-		curBase:   p.curBase,
-		curFoot:   p.curFoot,
-		curValid:  p.curValid,
-		commits:   p.commits,
-		dedups:    p.dedups,
-	}
+func (s targetState) geometry() [3]int { return [3]int{len(s.entries)} }
+
+// SnapshotState and RestoreState implement Snapshotter.
+func (p *Target) SnapshotState() any           { return snapshotOf(p.targetState) }
+func (p *Target) RestoreState(state any) error { return restoreInto("target", &p.targetState, state) }
+
+func (s markovState) copyInto(dst markovState) markovState {
+	s.entries = append(dst.entries[:0], s.entries...)
+	s.succ = append(dst.succ[:0], s.succ...)
+	return s
 }
 
-// RestoreState implements Snapshotter.
-func (p *MANA) RestoreState(state any) error {
-	s, ok := state.(*manaState)
-	if !ok {
-		return fmt.Errorf("prefetch: mana restore from %T", state)
-	}
-	if len(s.trigTags) != len(p.trigTags) || len(s.records) != len(p.records) {
-		return fmt.Errorf("prefetch: mana restore sizing mismatch: %d/%d into %d/%d",
-			len(s.trigTags), len(s.records), len(p.trigTags), len(p.records))
-	}
-	copy(p.trigTags, s.trigTags)
-	copy(p.trigRec, s.trigRec)
-	copy(p.trigValid, s.trigValid)
-	copy(p.records, s.records)
-	p.recIndex = make(map[uint32]int32, len(s.recIndex))
-	for k, v := range s.recIndex {
-		p.recIndex[k] = v
-	}
-	p.recHand = s.recHand
-	p.curBase = s.curBase
-	p.curFoot = s.curFoot
-	p.curValid = s.curValid
-	p.commits = s.commits
-	p.dedups = s.dedups
-	return nil
+func (s markovState) geometry() [3]int { return [3]int{len(s.entries), len(s.succ)} }
+
+// SnapshotState and RestoreState implement Snapshotter.
+func (p *Markov) SnapshotState() any           { return snapshotOf(p.markovState) }
+func (p *Markov) RestoreState(state any) error { return restoreInto("markov", &p.markovState, state) }
+
+func (s manaState) copyInto(dst manaState) manaState {
+	s.trigTags = append(dst.trigTags[:0], s.trigTags...)
+	s.trigRec = append(dst.trigRec[:0], s.trigRec...)
+	s.trigValid = append(dst.trigValid[:0], s.trigValid...)
+	s.records = append(dst.records[:0], s.records...)
+	s.recIndex = maps.Clone(s.recIndex)
+	return s
 }
 
-// progMapState is the dynamic state of a ProgMap prefetcher: the edge
-// map, the return map, and lifetime counters.
-type progMapState struct {
-	trigs     []isa.Line
-	tgts      []isa.Line
-	valid     []bool
-	retTags   []isa.Line
-	retLines  []isa.Line
-	retValid  []bool
-	edges     uint64
-	traversed uint64
+func (s manaState) geometry() [3]int { return [3]int{len(s.trigTags), len(s.records)} }
+
+// SnapshotState and RestoreState implement Snapshotter.
+func (p *MANA) SnapshotState() any           { return snapshotOf(p.manaState) }
+func (p *MANA) RestoreState(state any) error { return restoreInto("mana", &p.manaState, state) }
+
+func (s progMapState) copyInto(dst progMapState) progMapState {
+	s.trigs = append(dst.trigs[:0], s.trigs...)
+	s.tgts = append(dst.tgts[:0], s.tgts...)
+	s.valid = append(dst.valid[:0], s.valid...)
+	s.retTags = append(dst.retTags[:0], s.retTags...)
+	s.retLines = append(dst.retLines[:0], s.retLines...)
+	s.retValid = append(dst.retValid[:0], s.retValid...)
+	return s
 }
 
-// SnapshotState implements Snapshotter.
-func (p *ProgMap) SnapshotState() any {
-	return &progMapState{
-		trigs:     append([]isa.Line(nil), p.trigs...),
-		tgts:      append([]isa.Line(nil), p.tgts...),
-		valid:     append([]bool(nil), p.valid...),
-		retTags:   append([]isa.Line(nil), p.retTags...),
-		retLines:  append([]isa.Line(nil), p.retLines...),
-		retValid:  append([]bool(nil), p.retValid...),
-		edges:     p.edges,
-		traversed: p.traversed,
-	}
-}
+func (s progMapState) geometry() [3]int { return [3]int{len(s.trigs), len(s.retTags)} }
 
-// RestoreState implements Snapshotter.
+// SnapshotState and RestoreState implement Snapshotter.
+func (p *ProgMap) SnapshotState() any { return snapshotOf(p.progMapState) }
 func (p *ProgMap) RestoreState(state any) error {
-	s, ok := state.(*progMapState)
-	if !ok {
-		return fmt.Errorf("prefetch: progmap restore from %T", state)
-	}
-	if len(s.trigs) != len(p.trigs) || len(s.retTags) != len(p.retTags) {
-		return fmt.Errorf("prefetch: progmap restore sizing mismatch: %d/%d into %d/%d",
-			len(s.trigs), len(s.retTags), len(p.trigs), len(p.retTags))
-	}
-	copy(p.trigs, s.trigs)
-	copy(p.tgts, s.tgts)
-	copy(p.valid, s.valid)
-	copy(p.retTags, s.retTags)
-	copy(p.retLines, s.retLines)
-	copy(p.retValid, s.retValid)
-	p.edges = s.edges
-	p.traversed = s.traversed
-	return nil
+	return restoreInto("progmap", &p.progMapState, state)
+}
+
+func (t creditTable) copyInto(dst creditTable) creditTable {
+	t.keys = append(dst.keys[:0], t.keys...)
+	t.vals = append(dst.vals[:0], t.vals...)
+	t.live = append(dst.live[:0], t.live...)
+	return t
+}
+
+func (s discontinuityState) copyInto(dst discontinuityState) discontinuityState {
+	s.triggers = append(dst.triggers[:0], s.triggers...)
+	s.targets = append(dst.targets[:0], s.targets...)
+	s.ctr = append(dst.ctr[:0], s.ctr...)
+	s.conf = append(dst.conf[:0], s.conf...)
+	s.valid = append(dst.valid[:0], s.valid...)
+	s.pending = s.pending.copyInto(dst.pending)
+	s.targetSlots = s.targetSlots.copyInto(dst.targetSlots)
+	return s
+}
+
+// geometry includes the credit tables, so a restore across confidence
+// filter settings (targetSlots empty on one side) is refused.
+func (s discontinuityState) geometry() [3]int {
+	return [3]int{len(s.triggers), len(s.pending.keys), len(s.targetSlots.keys)}
+}
+
+// SnapshotState and RestoreState implement Snapshotter.
+func (p *Discontinuity) SnapshotState() any { return snapshotOf(p.discontinuityState) }
+func (p *Discontinuity) RestoreState(state any) error {
+	return restoreInto("discontinuity", &p.discontinuityState, state)
 }

@@ -33,7 +33,8 @@ type BranchObserver interface {
 // It is included as a related-work baseline; the paper discusses it in
 // Section 2.3 but does not evaluate it.
 type WrongPath struct {
-	seq *NextN
+	stateless // the sequential base is a stateless NextN; branch prefetches carry no history
+	seq       *NextN
 }
 
 // NewWrongPath builds the scheme.

@@ -149,7 +149,7 @@ type JobView struct {
 // on-disk result store.
 type Service struct {
 	cfg     Config
-	store   *Store          // nil when persistence is disabled
+	store   resultStore     // nil when persistence is disabled
 	corpus  *corpus.Store   // nil when persistence is disabled
 	fetcher *corpus.Fetcher // nil without CorpusPeers
 	metrics *Metrics
@@ -492,6 +492,28 @@ func (s *Service) runJob(j *job) {
 		outcome = "failed"
 	}
 
+	// Side effects come before the terminal state is visible: a waiter
+	// released by close(j.done), an SSE subscriber or a poller that sees
+	// the outcome must find the metrics and the stored result current.
+	s.metrics.JobFinished(outcome, finished.Sub(j.startedAt))
+	if outcome == "completed" {
+		for _, c := range res.Total.Components {
+			s.metrics.PrefetchComponent(c.Name, c.Issued, c.Useful)
+		}
+		if s.store != nil {
+			entry := StoredResult{
+				Key:       j.key,
+				Spec:      j.spec,
+				Result:    res,
+				CreatedAt: finished,
+				ElapsedMS: finished.Sub(j.startedAt).Milliseconds(),
+			}
+			if err := s.store.Put(entry); err != nil {
+				s.logf("service: persist %s: %v", j.id, err)
+			}
+		}
+	}
+
 	s.mu.Lock()
 	j.finishedAt = finished
 	switch outcome {
@@ -508,27 +530,8 @@ func (s *Service) runJob(j *job) {
 	v := s.viewLocked(j, false)
 	delete(s.inflight, j.key)
 	s.mu.Unlock()
-	close(j.done)
 	s.publish("job/"+j.id, "job-"+outcome, v)
-	s.metrics.JobFinished(outcome, finished.Sub(j.startedAt))
-	if outcome == "completed" {
-		for _, c := range res.Total.Components {
-			s.metrics.PrefetchComponent(c.Name, c.Issued, c.Useful)
-		}
-	}
-
-	if outcome == "completed" && s.store != nil {
-		entry := StoredResult{
-			Key:       j.key,
-			Spec:      j.spec,
-			Result:    res,
-			CreatedAt: finished,
-			ElapsedMS: finished.Sub(j.startedAt).Milliseconds(),
-		}
-		if err := s.store.Put(entry); err != nil {
-			s.logf("service: persist %s: %v", j.id, err)
-		}
-	}
+	close(j.done)
 	s.logf("service: %s %s in %s (%s cores=%d scheme=%s)",
 		j.id, outcome, finished.Sub(j.startedAt).Round(time.Millisecond),
 		j.spec.Workload, j.spec.Cores, j.spec.Scheme)

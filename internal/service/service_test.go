@@ -337,3 +337,80 @@ func TestStoreIgnoresCorruptEntries(t *testing.T) {
 		t.Fatal("corrupt entry served as a hit")
 	}
 }
+
+// blockingStore is a result store whose Put parks until the test
+// releases it, holding a finished job between its side effects and its
+// wake-up.
+type blockingStore struct {
+	resultStore
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingStore) Put(e StoredResult) error {
+	close(b.entered)
+	<-b.release
+	return b.resultStore.Put(e)
+}
+
+// TestWaitReturnsAfterSideEffects is the regression test for a job
+// whose terminal state became visible before its result was stored and
+// counted: Wait must stay blocked while the store write is in progress,
+// and once it returns the outcome counter must already include the job.
+func TestWaitReturnsAfterSideEffects(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ResultDir = t.TempDir()
+	s := newTestService(t, cfg)
+	bs := &blockingStore{resultStore: s.store, entered: make(chan struct{}), release: make(chan struct{})}
+	s.store = bs
+	release := sync.OnceFunc(func() { close(bs.release) })
+	defer release() // a failing check must not leave the worker parked
+	v, err := s.Submit(cheapSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan JobView, 1)
+	go func() {
+		got, err := s.Wait(context.Background(), v.ID)
+		if err != nil {
+			t.Errorf("Wait: %v", err)
+		}
+		waited <- got
+	}()
+
+	select {
+	case <-bs.entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never reached the store")
+	}
+	s.mu.Lock()
+	j := s.jobs[v.ID]
+	s.mu.Unlock()
+	select {
+	case <-j.done:
+		t.Fatal("job signalled done while its result was still being stored")
+	default:
+	}
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while the store write was blocked")
+	default:
+	}
+
+	release()
+	var got JobView
+	select {
+	case got = <-waited:
+	case <-time.After(60 * time.Second):
+		t.Fatal("Wait did not return after the store write finished")
+	}
+	if got.State != StateCompleted {
+		t.Fatalf("state = %s (err %q), want %s", got.State, got.Error, StateCompleted)
+	}
+	if m := s.Metrics().Snapshot(); m.Completed != 1 || m.Running != 0 {
+		t.Fatalf("metrics at wake-up: completed=%d running=%d, want 1/0", m.Completed, m.Running)
+	}
+	if _, ok := bs.Get(j.key); !ok {
+		t.Fatal("result not in the store at wake-up")
+	}
+}

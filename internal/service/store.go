@@ -20,6 +20,13 @@ type Store struct {
 	dir string
 }
 
+// resultStore is the part of Store the job path uses; tests substitute
+// an instrumented one.
+type resultStore interface {
+	Get(key string) (StoredResult, bool)
+	Put(e StoredResult) error
+}
+
 // StoredResult is the persisted record of one completed simulation.
 type StoredResult struct {
 	// Key is the canonical spec key (also the dedup identity); kept in

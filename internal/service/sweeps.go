@@ -199,6 +199,11 @@ func (s *Service) runSweep(run *sweepRun, runner *sweep.Runner) {
 		errMsg = err.Error()
 	}
 
+	// As for jobs: artifacts, metrics and events land before close(done)
+	// lets a waiter observe the terminal state.
+	if state == SweepCompleted {
+		s.persistArtifacts(run.id, artifacts)
+	}
 	s.mu.Lock()
 	run.state = state
 	run.errMsg = errMsg
@@ -206,15 +211,14 @@ func (s *Service) runSweep(run *sweepRun, runner *sweep.Runner) {
 	run.finishedAt = time.Now()
 	v := s.sweepViewLocked(run)
 	s.mu.Unlock()
-	close(run.done)
+	s.metrics.SweepFinished(string(state))
 	if state == SweepCompleted {
-		s.persistArtifacts(run.id, artifacts)
 		s.publish("sweep/"+run.id, "artifact-ready", struct {
 			Artifacts []string `json:"artifacts"`
 		}{v.Artifacts})
 	}
 	s.publish("sweep/"+run.id, "sweep-"+string(state), v)
-	s.metrics.SweepFinished(string(state))
+	close(run.done)
 	s.logf("service: sweep %s %s (%d/%d points, %d recovered)",
 		run.id, state, run.completed, run.total, run.recovered)
 }

@@ -1,25 +1,28 @@
 package tlb
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Snapshot is a deep copy of one TLB's dynamic state.
 type Snapshot struct {
-	pages    []Page
-	valid    []bool
-	assoc    int
-	accesses uint64
-	misses   uint64
+	assoc int
+	state
+}
+
+// copyInto is the state's copy method (DESIGN.md §3.1): it returns s
+// with every slice moved onto dst's backing array, reused when large
+// enough.
+func (s state) copyInto(dst state) state {
+	s.pages = append(dst.pages[:0], s.pages...)
+	s.valid = append(dst.valid[:0], s.valid...)
+	return s
 }
 
 // Snapshot captures the TLB's current state.
 func (t *TLB) Snapshot() *Snapshot {
-	return &Snapshot{
-		pages:    append([]Page(nil), t.pages...),
-		valid:    append([]bool(nil), t.valid...),
-		assoc:    t.assoc,
-		accesses: t.accesses,
-		misses:   t.misses,
-	}
+	return &Snapshot{assoc: t.assoc, state: t.state.copyInto(state{})}
 }
 
 // Restore overwrites the TLB's state with a copy of the snapshot's. The
@@ -32,10 +35,7 @@ func (t *TLB) Restore(s *Snapshot) error {
 		return fmt.Errorf("tlb: restore geometry mismatch: %d entries/%d-way into %d entries/%d-way",
 			len(s.pages), s.assoc, len(t.pages), t.assoc)
 	}
-	copy(t.pages, s.pages)
-	copy(t.valid, s.valid)
-	t.accesses = s.accesses
-	t.misses = s.misses
+	t.state = s.state.copyInto(t.state)
 	return nil
 }
 
@@ -46,23 +46,14 @@ type HierarchySnapshot struct {
 
 // Snapshot captures all three TLBs.
 func (h *Hierarchy) Snapshot() *HierarchySnapshot {
-	return &HierarchySnapshot{
-		itlb: h.itlb.Snapshot(),
-		dtlb: h.dtlb.Snapshot(),
-		l2:   h.l2.Snapshot(),
-	}
+	return &HierarchySnapshot{itlb: h.itlb.Snapshot(), dtlb: h.dtlb.Snapshot(), l2: h.l2.Snapshot()}
 }
 
-// Restore overwrites all three TLBs from the snapshot.
+// Restore overwrites all three TLBs from the snapshot. Each checks its
+// own geometry first; every failure is reported.
 func (h *Hierarchy) Restore(s *HierarchySnapshot) error {
 	if s == nil {
 		return fmt.Errorf("tlb: restore hierarchy from nil snapshot")
 	}
-	if err := h.itlb.Restore(s.itlb); err != nil {
-		return err
-	}
-	if err := h.dtlb.Restore(s.dtlb); err != nil {
-		return err
-	}
-	return h.l2.Restore(s.l2)
+	return errors.Join(h.itlb.Restore(s.itlb), h.dtlb.Restore(s.dtlb), h.l2.Restore(s.l2))
 }

@@ -30,10 +30,7 @@ type frame struct {
 // homogeneous 4-way CMP behave like the paper's: code is shared in the
 // L2 while per-thread data multiplies.
 type Generator struct {
-	prog  *Program
-	r     *rng.Rand
-	stack []frame
-	cur   frame
+	prog *Program
 
 	nearZipf *rng.Zipf
 	farZipf  *rng.Zipf
@@ -55,6 +52,18 @@ type Generator struct {
 	tidStackOff isa.Addr
 	tidNearOff  isa.Addr
 
+	generatorState
+}
+
+// generatorState is the dynamic state of a Generator walk: the rng
+// stream, the call stack, the current frame, and the progress counters
+// (see copyInto). Everything else on the Generator (program image,
+// samplers, thresholds, region bases) is immutable after construction.
+type generatorState struct {
+	r     rng.Rand
+	stack []frame
+	cur   frame
+
 	instrs  uint64
 	txStart uint64
 	blocks  uint64
@@ -71,11 +80,13 @@ func NewGenerator(prog *Program, seed uint64) *Generator {
 func NewGeneratorThread(prog *Program, seed uint64, tid int) *Generator {
 	g := &Generator{
 		prog:     prog,
-		r:        rng.New(seed ^ prog.Profile.Seed ^ (prog.ASID * 0x9e3779b9)),
-		stack:    make([]frame, 0, prog.Profile.MaxCallDepth+4),
 		nearZipf: rng.NewZipf(prog.Profile.NearDataBytes/64, prog.Profile.NearZipfS),
 		farZipf:  rng.NewZipf(prog.Profile.HotDataBytes/64, prog.Profile.DataZipfS),
 		base:     SpaceBase(prog.ASID),
+		generatorState: generatorState{
+			r:     *rng.New(seed ^ prog.Profile.Seed ^ (prog.ASID * 0x9e3779b9) ^ (uint64(tid) << 32)),
+			stack: make([]frame, 0, prog.Profile.MaxCallDepth+4),
+		},
 	}
 	if c := prog.Profile.ColdDataBytes; c&(c-1) == 0 {
 		g.coldMask = uint64(c - 1)
@@ -86,7 +97,6 @@ func NewGeneratorThread(prog *Program, seed uint64, tid int) *Generator {
 	g.stackThr = rng.BoolThreshold(pr.PStack)
 	g.nearThr = rng.BoolThreshold(pr.PStack + pr.PNear)
 	g.farThr = rng.BoolThreshold(pr.PStack + pr.PNear + pr.PFar)
-	g.r = rng.New(seed ^ prog.Profile.Seed ^ (prog.ASID * 0x9e3779b9) ^ (uint64(tid) << 32))
 	g.tidStackOff = isa.Addr(tid) * threadStackStride
 	g.tidNearOff = isa.Addr(tid) * threadNearStride
 	g.cur = frame{fn: int32(g.dispatch()), blk: 0}
@@ -96,7 +106,7 @@ func NewGeneratorThread(prog *Program, seed uint64, tid int) *Generator {
 // dispatch picks the next top-level function (transaction entry point)
 // by popularity.
 func (g *Generator) dispatch() int {
-	return g.prog.topZipf.Sample(g.r)
+	return g.prog.topZipf.Sample(&g.r)
 }
 
 // Instructions returns the number of instructions emitted so far.
@@ -252,10 +262,10 @@ func (g *Generator) dataAddr() isa.Addr {
 		}
 		return g.base + stackBase + g.tidStackOff + isa.Addr(off)&^7
 	case u < g.nearThr:
-		line := uint64(g.nearZipf.Sample(g.r))
+		line := uint64(g.nearZipf.Sample(&g.r))
 		return g.base + nearBase + g.tidNearOff + isa.Addr(line*64+uint64(g.r.Intn(8))*8)
 	case u < g.farThr:
-		line := uint64(g.farZipf.Sample(g.r))
+		line := uint64(g.farZipf.Sample(&g.r))
 		return g.base + hotBase + isa.Addr(line*64+uint64(g.r.Intn(8))*8)
 	default:
 		var off uint64

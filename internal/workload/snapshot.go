@@ -17,90 +17,70 @@ type Snapshotter interface {
 	RestoreState(state any) error
 }
 
-// generatorState is the dynamic state of a Generator walk: the rng
-// stream, the call stack, the current frame, and the progress counters.
-// Everything else on the Generator (program image, samplers, thresholds,
-// region bases) is immutable after construction.
-type generatorState struct {
-	asid    uint64
-	rstate  [4]uint64
-	stack   []frame
-	cur     frame
-	instrs  uint64
-	txStart uint64
-	blocks  uint64
+// generatorSnapshot is a Generator's state plus the program it walks.
+type generatorSnapshot struct {
+	asid uint64
+	generatorState
+}
+
+// copyInto is the state's copy method (DESIGN.md §3.1): it returns s
+// with every slice moved onto dst's backing array, reused when large
+// enough.
+func (s generatorState) copyInto(dst generatorState) generatorState {
+	s.stack = append(dst.stack[:0], s.stack...)
+	return s
 }
 
 // SnapshotState implements Snapshotter.
 func (g *Generator) SnapshotState() (any, error) {
-	return &generatorState{
-		asid:    g.prog.ASID,
-		rstate:  g.r.State(),
-		stack:   append([]frame(nil), g.stack...),
-		cur:     g.cur,
-		instrs:  g.instrs,
-		txStart: g.txStart,
-		blocks:  g.blocks,
-	}, nil
+	return &generatorSnapshot{asid: g.prog.ASID, generatorState: g.generatorState.copyInto(generatorState{})}, nil
 }
 
 // RestoreState implements Snapshotter. The target must walk the same
 // program (the snapshot holds frame indices into the program image).
 func (g *Generator) RestoreState(state any) error {
-	s, ok := state.(*generatorState)
+	s, ok := state.(*generatorSnapshot)
 	if !ok {
 		return fmt.Errorf("workload: generator restore from %T", state)
 	}
 	if s.asid != g.prog.ASID {
 		return fmt.Errorf("workload: generator restore across programs (ASID %d into %d)", s.asid, g.prog.ASID)
 	}
-	g.r.SetState(s.rstate)
-	g.stack = append(g.stack[:0], s.stack...)
-	g.cur = s.cur
-	g.instrs = s.instrs
-	g.txStart = s.txStart
-	g.blocks = s.blocks
+	g.generatorState = s.generatorState.copyInto(g.generatorState)
 	return nil
 }
 
-// traceReplayState is the cursor of a trace replayer: which chunk is
-// current and how far into it the consumer has read.
-type traceReplayState struct {
-	curIdx int
-	pos    int
+// replaySnapshot is a trace replayer's cursor plus the container's
+// chunk count.
+type replaySnapshot struct {
 	chunks int
+	replayState
 }
 
 // SnapshotState implements Snapshotter.
 func (r *traceReplay) SnapshotState() (any, error) {
-	return &traceReplayState{curIdx: r.curIdx, pos: r.pos, chunks: r.tr.NumChunks()}, nil
+	return &replaySnapshot{chunks: r.tr.NumChunks(), replayState: r.replayState}, nil
 }
 
-// RestoreState implements Snapshotter: it retires the in-flight decode,
-// re-decodes the snapshot's current chunk synchronously, and restarts
-// the one-chunk-ahead pipeline, leaving the replayer exactly where the
-// snapshot was taken.
+// RestoreState implements Snapshotter: it re-decodes the snapshot's
+// current chunk and restarts the one-chunk-ahead pipeline behind it,
+// leaving the replayer exactly where the snapshot was taken.
 func (r *traceReplay) RestoreState(state any) error {
-	s, ok := state.(*traceReplayState)
+	s, ok := state.(*replaySnapshot)
 	if !ok {
 		return fmt.Errorf("workload: trace replay restore from %T", state)
 	}
 	if s.chunks != r.tr.NumChunks() || s.curIdx >= s.chunks {
 		return fmt.Errorf("workload: trace replay restore across containers (%d chunks into %d)", s.chunks, r.tr.NumChunks())
 	}
-	// Drain the outstanding prefetch so the channel slot is free for the
-	// restarted pipeline (a decode error here is irrelevant — the chunk
-	// is being discarded).
+	// Retire the outstanding decode (a decode error here is irrelevant —
+	// that chunk is being discarded), then restart the pipeline at the
+	// snapshot's chunk.
 	<-r.next
-	blocks, err := r.tr.DecodeChunk(s.curIdx)
-	if err != nil {
+	r.prefetch(s.curIdx)
+	if err := r.advance(); err != nil {
 		return fmt.Errorf("workload: trace replay restore chunk %d: %w", s.curIdx, err)
 	}
-	r.cur, r.curIdx, r.pos = blocks, s.curIdx, s.pos
-	n := s.curIdx + 1
-	if n >= r.tr.NumChunks() {
-		n = 0
-	}
-	r.prefetch(n)
+	r.replayState = s.replayState
 	return nil
 }
