@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test loc race race-dist race-core race-ctlplane race-corpus race-codesign race-fork fuzz-smoke bench bench-sweep bench-dist bench-trace bench-core bench-pref bench-service advgen-smoke
+.PHONY: build vet test loc race race-dist race-core race-ctlplane race-corpus race-codesign race-fork fuzz-smoke perfbench-selftest bench bench-sweep bench-dist bench-trace bench-core bench-pref bench-service advgen-smoke
 
 build:
 	$(GO) build ./...
@@ -65,12 +65,20 @@ race-fork:
 advgen-smoke:
 	$(GO) run ./cmd/advgen -scheme discontinuity -seed 1 -iters 8 -assert-gain 1.05 -o /tmp/adv_smoke.json
 
-# Short fuzz passes over the trace codecs and the content-defined
-# chunker; CI runs the same smoke.
+# Short fuzz passes over the trace codecs, the content-defined chunker
+# and workload profile validation; CI runs the same smoke.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=10s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzRoundTripV2 -fuzztime=10s
 	$(GO) test ./internal/corpus -run='^$$' -fuzz=FuzzChunker -fuzztime=10s
+	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzProfileBuild -fuzztime=10s
+
+# The repository benchmark's self-test (about 40 s): short runs of
+# every workload must emit every metric BENCHMARK.json names, traced
+# and untraced runs must agree on the behaviour checksum, and a run off
+# its expected checksum must count as a failure (what CI runs).
+perfbench-selftest:
+	cd perfbench && $(GO) test .
 
 bench:
 	$(GO) test -bench=Figure -benchmem ./...

@@ -300,11 +300,12 @@ func SourcesFor(names []string, numCores int, seed uint64) ([]workload.Source, e
 // progCache memoises program images across machine constructions.
 // BuildProgram is a pure function of (profile, asid), profile
 // resolution is deterministic per name (the adv: foundry memoises its
-// searches), and a Program is immutable once built — generators keep
-// every cursor privately — so machines on any goroutine can share one
-// image. Building an image costs tens of milliseconds, which would
-// otherwise dominate dense fork-and-diverge sweeps whose measured
-// phases are short.
+// searches), and a Program is immutable once built — it holds the
+// function layout and every profile-derived sampler, while generators
+// keep every cursor privately — so machines on any goroutine can share
+// one image, samplers included. Building an image costs tens of
+// milliseconds, which would otherwise dominate dense fork-and-diverge
+// sweeps whose measured phases are short.
 var progCache sync.Map // progKey -> *workload.Program
 
 type progKey struct {

@@ -32,9 +32,6 @@ type frame struct {
 type Generator struct {
 	prog *Program
 
-	nearZipf *rng.Zipf
-	farZipf  *rng.Zipf
-
 	// coldMask is ColdDataBytes-1 when that size is a power of two
 	// (the common case), letting dataAddr mask instead of divide; 0
 	// selects the general Uint64n path.
@@ -58,7 +55,8 @@ type Generator struct {
 // generatorState is the dynamic state of a Generator walk: the rng
 // stream, the call stack, the current frame, and the progress counters
 // (see copyInto). Everything else on the Generator (program image,
-// samplers, thresholds, region bases) is immutable after construction.
+// thresholds, region bases) is immutable after construction; the
+// samplers it draws from belong to the shared Program.
 type generatorState struct {
 	r     rng.Rand
 	stack []frame
@@ -79,10 +77,8 @@ func NewGenerator(prog *Program, seed uint64) *Generator {
 // with private stack and near-data regions.
 func NewGeneratorThread(prog *Program, seed uint64, tid int) *Generator {
 	g := &Generator{
-		prog:     prog,
-		nearZipf: rng.NewZipf(prog.Profile.NearDataBytes/64, prog.Profile.NearZipfS),
-		farZipf:  rng.NewZipf(prog.Profile.HotDataBytes/64, prog.Profile.DataZipfS),
-		base:     SpaceBase(prog.ASID),
+		prog: prog,
+		base: SpaceBase(prog.ASID),
 		generatorState: generatorState{
 			r:     *rng.New(seed ^ prog.Profile.Seed ^ (prog.ASID * 0x9e3779b9) ^ (uint64(tid) << 32)),
 			stack: make([]frame, 0, prog.Profile.MaxCallDepth+4),
@@ -262,11 +258,11 @@ func (g *Generator) dataAddr() isa.Addr {
 		}
 		return g.base + stackBase + g.tidStackOff + isa.Addr(off)&^7
 	case u < g.nearThr:
-		line := uint64(g.nearZipf.Sample(&g.r))
-		return g.base + nearBase + g.tidNearOff + isa.Addr(line*64+uint64(g.r.Intn(8))*8)
+		line := uint64(g.prog.nearZipf.Sample(&g.r))
+		return g.base + nearBase + g.tidNearOff + isa.Addr(line*dataLineBytes+uint64(g.r.Intn(8))*8)
 	case u < g.farThr:
-		line := uint64(g.farZipf.Sample(&g.r))
-		return g.base + hotBase + isa.Addr(line*64+uint64(g.r.Intn(8))*8)
+		line := uint64(g.prog.farZipf.Sample(&g.r))
+		return g.base + hotBase + isa.Addr(line*dataLineBytes+uint64(g.r.Intn(8))*8)
 	default:
 		var off uint64
 		if g.coldMask != 0 {

@@ -132,7 +132,16 @@ type Profile struct {
 	NearZipfS float64
 }
 
-// Validate reports whether the profile is internally consistent.
+// maxGeometricMean caps the means of the geometrically distributed
+// shape parameters (block counts, block sizes, branch distances). A
+// draw can exceed its mean several hundredfold, and near 1<<53 the
+// sampler's success probability rounds away entirely, so unbounded
+// means overflow int into negative sizes and targets.
+const maxGeometricMean = 1 << 20
+
+// Validate reports whether the profile is internally consistent. A
+// profile it accepts builds, and its threads generate, without
+// panicking.
 func (p Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("workload: profile has no name")
@@ -152,19 +161,25 @@ func (p Profile) Validate() error {
 	if p.FuncAlignBytes <= 0 || p.FuncAlignBytes&(p.FuncAlignBytes-1) != 0 {
 		return fmt.Errorf("workload: %s: alignment must be a power of two", p.Name)
 	}
-	if p.PopularityS <= 0 || p.CalleeS <= 0 {
+	if !(p.PopularityS > 0) || !(p.CalleeS > 0) {
 		return fmt.Errorf("workload: %s: popularity exponents must be positive", p.Name)
 	}
 	if p.CalleesMean < 1 {
 		return fmt.Errorf("workload: %s: CalleesMean must be >= 1", p.Name)
 	}
-	sum := p.WFall + p.WCond + p.WUncond + p.WCall + p.WJump + p.WRetEarly + p.WTrap
+	sum := 0.0
+	for _, w := range []float64{p.WFall, p.WCond, p.WUncond, p.WCall, p.WJump, p.WRetEarly, p.WTrap} {
+		if !(w >= 0) {
+			return fmt.Errorf("workload: %s: terminator weights must be >= 0", p.Name)
+		}
+		sum += w
+	}
 	if sum <= 0 {
 		return fmt.Errorf("workload: %s: terminator weights sum to zero", p.Name)
 	}
 	for _, pr := range []float64{p.PCondBwd, p.PCondFwdTaken, p.PLoopContinue, p.PStack, p.PNear,
 		p.PFar, p.LoadsPerInstr, p.StoresPerInstr} {
-		if pr < 0 || pr > 1 {
+		if !(pr >= 0 && pr <= 1) {
 			return fmt.Errorf("workload: %s: probability out of range", p.Name)
 		}
 	}
@@ -183,11 +198,19 @@ func (p Profile) Validate() error {
 	if p.StackBytes <= 0 || p.NearDataBytes <= 0 || p.HotDataBytes <= 0 || p.ColdDataBytes <= 0 {
 		return fmt.Errorf("workload: %s: data regions must be positive", p.Name)
 	}
-	if p.DataZipfS <= 0 || p.NearZipfS <= 0 {
+	if p.NearDataBytes < dataLineBytes || p.HotDataBytes < dataLineBytes {
+		return fmt.Errorf("workload: %s: near and hot data regions must hold at least one %d-byte line", p.Name, dataLineBytes)
+	}
+	if !(p.DataZipfS > 0) || !(p.NearZipfS > 0) {
 		return fmt.Errorf("workload: %s: data Zipf exponents must be positive", p.Name)
 	}
 	if p.CondFwdDistMean < 1 || p.UncondDistMean < 1 {
 		return fmt.Errorf("workload: %s: branch distances must be >= 1", p.Name)
+	}
+	for _, m := range []int{p.FuncBlocksMean, p.BlockInstrsMean, p.CondFwdDistMean, p.UncondDistMean} {
+		if m > maxGeometricMean {
+			return fmt.Errorf("workload: %s: block counts, block sizes and branch distances must be <= %d", p.Name, maxGeometricMean)
+		}
 	}
 	return nil
 }

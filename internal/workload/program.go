@@ -86,7 +86,13 @@ type Program struct {
 	// CodeBytes is the total user code size.
 	CodeBytes int
 
-	topZipf *rng.Zipf // top-level dispatch over user functions
+	// Samplers derived from the profile alone, built once here and
+	// shared by every thread walking the image: top-level dispatch over
+	// user functions, and line popularity in the near and hot data
+	// regions.
+	topZipf  *rng.Zipf
+	nearZipf *rng.Zipf
+	farZipf  *rng.Zipf
 }
 
 // Address-space layout (relative to the ASID base): user code, kernel
@@ -104,6 +110,10 @@ const (
 	// Strides separating per-thread private regions within a process.
 	threadStackStride = isa.Addr(1 << 20)
 	threadNearStride  = isa.Addr(16 << 20)
+
+	// dataLineBytes is the granule of the Zipf-sampled near and hot
+	// data regions: each sampled rank is one line of this size.
+	dataLineBytes = 64
 )
 
 // SpaceBase returns the base address of address space asid.
@@ -126,10 +136,12 @@ func BuildProgram(p Profile, asid uint64) (*Program, error) {
 	base := SpaceBase(asid)
 
 	prog := &Program{
-		Profile: p,
-		ASID:    asid,
-		NumUser: p.NumFuncs,
-		topZipf: rng.NewZipf(p.NumFuncs, p.PopularityS),
+		Profile:  p,
+		ASID:     asid,
+		NumUser:  p.NumFuncs,
+		topZipf:  rng.NewZipf(p.NumFuncs, p.PopularityS),
+		nearZipf: rng.NewZipf(p.NearDataBytes/dataLineBytes, p.NearZipfS),
+		farZipf:  rng.NewZipf(p.HotDataBytes/dataLineBytes, p.DataZipfS),
 	}
 	prog.Funcs = make([]Function, 0, p.NumFuncs+p.KernelFuncs)
 

@@ -36,6 +36,10 @@ func TestProfileValidateRejects(t *testing.T) {
 		func(p *Profile) { p.HotDataBytes = 0 },
 		func(p *Profile) { p.DataZipfS = 0 },
 		func(p *Profile) { p.CondFwdDistMean = 0 },
+		func(p *Profile) { p.WJump = -1e-300 },
+		func(p *Profile) { p.PNear = math.NaN() },
+		func(p *Profile) { p.NearZipfS = math.NaN() },
+		func(p *Profile) { p.UncondDistMean = 1 << 60 },
 	}
 	for i, mod := range mods {
 		p := DB()
@@ -113,6 +117,41 @@ func TestBuildProgramRejectsInvalid(t *testing.T) {
 	p.NumFuncs = 0
 	if _, err := BuildProgram(p, 0); err == nil {
 		t.Fatal("invalid profile accepted")
+	}
+}
+
+// TestBuildProgramRejectsSubLineRegions: the near and hot regions are
+// sampled a 64-byte line at a time, so a region smaller than one line
+// has nothing to sample and must be an error, not a panic.
+func TestBuildProgramRejectsSubLineRegions(t *testing.T) {
+	cases := []struct {
+		name      string
+		near, hot int
+	}{
+		{"near-1", 1, 2 << 20},
+		{"near-63", 63, 2 << 20},
+		{"hot-1", 256 << 10, 1},
+		{"hot-63", 256 << 10, 63},
+		{"both-32", 32, 32},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DB()
+			p.NearDataBytes, p.HotDataBytes = tc.near, tc.hot
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("BuildProgram panicked: %v", r)
+				}
+			}()
+			if _, err := BuildProgram(p, 0); err == nil {
+				t.Fatal("sub-line data region accepted")
+			}
+		})
+	}
+	p := DB()
+	p.NearDataBytes, p.HotDataBytes = 64, 64
+	if _, err := BuildProgram(p, 0); err != nil {
+		t.Fatalf("one-line regions rejected: %v", err)
 	}
 }
 
