@@ -42,7 +42,7 @@ func TestHybridJobSurfacesComponentMetrics(t *testing.T) {
 	}
 
 	var b strings.Builder
-	s.Metrics().WriteProm(&b, s.QueueDepth(), s.Workers(), s.ActiveSweeps(), s.EngineCounters())
+	s.Metrics().WriteProm(&b, s.QueueDepth(), s.Workers(), s.ActiveSweeps(), s.EngineCounters(), s.StoreCacheStats())
 	prom := b.String()
 	if !strings.Contains(prom, `iprefetchd_prefetch_component_issued_total{component="discontinuity"}`) {
 		t.Errorf("prometheus output missing labeled component counter:\n%s", prom)

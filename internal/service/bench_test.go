@@ -1,7 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -79,6 +84,50 @@ func BenchmarkSubmitStoreHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Submit(spec); err != nil {
 			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
+}
+
+// BenchmarkHTTPStoreHit is a store hit as a client sees it: one
+// loopback POST /v1/jobs?wait=1 round trip through Handler, including
+// request decoding and the JSON reply.
+func BenchmarkHTTPStoreHit(b *testing.B) {
+	dir := b.TempDir()
+	warm := benchService(b, dir)
+	spec := JobSpec{Workload: "DB", Cores: 1, Scheme: "none"}
+	v, err := warm.Submit(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := warm.Wait(ctx, v.ID); err != nil {
+		b.Fatal(err)
+	}
+	if err := warm.Shutdown(ctx); err != nil {
+		b.Fatal(err)
+	}
+
+	s := benchService(b, dir)
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := srv.Client()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Post(srv.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, read error %v", resp.StatusCode, err)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")

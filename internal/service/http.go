@@ -351,7 +351,7 @@ func Handler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.metrics.WriteProm(w, s.QueueDepth(), s.Workers(), s.ActiveSweeps(), s.EngineCounters())
+		s.metrics.WriteProm(w, s.QueueDepth(), s.Workers(), s.ActiveSweeps(), s.EngineCounters(), s.StoreCacheStats())
 		s.Dist().WriteProm(w)
 		s.WriteCtlplaneProm(w)
 		s.WriteCorpusProm(w)
@@ -492,9 +492,7 @@ func serveSSE(s *Service, w http.ResponseWriter, r *http.Request, topic string, 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -138,6 +140,12 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		"iprefetchd_engine_simulations_total 1",
 		"iprefetchd_job_duration_seconds_count 1",
 		"iprefetchd_workers 2",
+		// Both submissions read the disk; the second one's record is
+		// now cached.
+		"iprefetchd_store_cache_hits_total 0",
+		"iprefetchd_store_cache_misses_total 2",
+		"iprefetchd_store_cache_entries 1",
+		"iprefetchd_store_cache_bytes ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
@@ -250,4 +258,47 @@ func TestHTTPQueueFullReturns503(t *testing.T) {
 	if !saw503 {
 		t.Fatal("never saw 503 with workers=1 queue=1")
 	}
+}
+
+// TestRepliesAreCompactJSON pins the wire encoding: a reply is one line
+// of JSON, and a waited job decodes to the same view as Job reports.
+// The embedded sweep coordinator's replies share the encoding.
+func TestRepliesAreCompactJSON(t *testing.T) {
+	s, srv := newTestServer(t, testConfig(t))
+	get := func(resp *http.Response, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if bytes.IndexByte(body, '\n') != len(body)-1 {
+			t.Fatalf("reply is not one line of JSON:\n%s", body)
+		}
+		return body
+	}
+
+	body := get(http.Post(srv.URL+"/v1/jobs?wait=1", "application/json",
+		strings.NewReader(`{"workload":"DB","cores":1,"scheme":"none"}`)))
+	var got JobView
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := s.Job(got.ID)
+	if !ok {
+		t.Fatalf("unknown job %q", got.ID)
+	}
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("reply decodes to\n%s\nwant\n%s", gotJSON, wantJSON)
+	}
+
+	get(http.Get(srv.URL + "/v1/dist/sweeps"))
 }

@@ -227,8 +227,8 @@ type EngineCounters struct {
 // WriteProm renders the metrics in Prometheus text exposition format.
 // queueDepth, workers and activeSweeps are gauges owned by the
 // service; engine carries the underlying engine's run-sharing
-// counters.
-func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, engine EngineCounters) {
+// counters, and cache the result store's hit cache.
+func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, engine EngineCounters, cache StoreCacheStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	counter := func(name, help string, v uint64) {
@@ -243,6 +243,10 @@ func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, 
 	counter("iprefetchd_jobs_canceled_total", "Jobs stopped by deadline or shutdown.", m.canceled)
 	counter("iprefetchd_dedup_hits_total", "Submissions deduplicated onto an identical in-flight job.", m.dedupHits)
 	counter("iprefetchd_store_hits_total", "Submissions served from the on-disk result store.", m.storeHits)
+	counter("iprefetchd_store_cache_hits_total", "Result store reads served from the in-memory hit cache.", cache.Hits)
+	counter("iprefetchd_store_cache_misses_total", "Result store reads that went to disk.", cache.Misses)
+	gauge("iprefetchd_store_cache_entries", "Decoded results held in the hit cache.", int64(cache.Entries))
+	gauge("iprefetchd_store_cache_bytes", "Encoded size of the results in the hit cache; bounded by a fixed budget.", int64(cache.Bytes))
 	counter("iprefetchd_queue_full_rejections_total", "Submissions rejected because the queue was full.", m.queueFull)
 	counter("iprefetchd_engine_simulations_total", "Simulations actually executed by the engine.", engine.Simulations)
 	counter("iprefetchd_engine_memo_hits_total", "Engine runs answered from the in-memory memo.", engine.MemoHits)

@@ -387,29 +387,41 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return JobView{}, ErrClosed
+	v, done, err := s.joinLocked(key)
+	s.mu.Unlock()
+	if done {
+		return v, err
 	}
-	if j, ok := s.inflight[key]; ok {
-		j.dedupCount++
-		s.metrics.DedupHit()
-		return s.viewLocked(j, true), nil
-	}
-	now := time.Now()
+	// The store lookup runs outside s.mu: a cold hit reads and decodes a
+	// file, which must not stall concurrent Submit, Job, Jobs and Wait
+	// calls. The state it checked can change meanwhile, so it is checked
+	// again below. A miss that loses to an identical job finishing in
+	// that window finds neither the twin nor its stored result, and runs
+	// once more to the same result: harmless.
+	var stored *sim.Result
 	if s.store != nil {
 		if e, ok := s.store.Get(key); ok {
-			j := s.newJobLocked(spec, key, now)
-			j.state = StateCompleted
-			j.cacheHit = true
-			res := e.Result
-			j.result = &res
-			j.startedAt, j.finishedAt = now, now
-			close(j.done)
-			s.metrics.Submitted()
-			s.metrics.StoreHit()
-			return s.viewLocked(j, true), nil
+			res := e.Result // the job keeps the result, not the record
+			stored = &res
 		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v, done, err := s.joinLocked(key); done {
+		return v, err
+	}
+	now := time.Now()
+	if stored != nil {
+		j := s.newJobLocked(spec, key, now)
+		j.state = StateCompleted
+		j.cacheHit = true
+		j.result = stored
+		j.startedAt, j.finishedAt = now, now
+		close(j.done)
+		s.metrics.Submitted()
+		s.metrics.StoreHit()
+		return s.viewLocked(j, true), nil
 	}
 	j := s.newJobLocked(spec, key, now)
 	select {
@@ -421,9 +433,34 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	}
 	s.inflight[key] = j
 	s.metrics.Submitted()
-	v := s.viewLocked(j, false)
+	v = s.viewLocked(j, false)
 	s.publish("job/"+j.id, "job-queued", v)
 	return v, nil
+}
+
+// joinLocked settles a submission that needs no job of its own: it is
+// refused once the service is closed, and a spec identical to an
+// in-flight job attaches to that job. done reports whether it did
+// either. Caller must hold s.mu.
+func (s *Service) joinLocked(key string) (v JobView, done bool, err error) {
+	if s.closed {
+		return JobView{}, true, ErrClosed
+	}
+	if j, ok := s.inflight[key]; ok {
+		j.dedupCount++
+		s.metrics.DedupHit()
+		return s.viewLocked(j, true), true, nil
+	}
+	return JobView{}, false, nil
+}
+
+// StoreCacheStats reports the result store's hit cache; zero when
+// persistence is disabled.
+func (s *Service) StoreCacheStats() StoreCacheStats {
+	if s.store == nil {
+		return StoreCacheStats{}
+	}
+	return s.store.CacheStats()
 }
 
 // newJobLocked allocates and registers a job. Caller must hold s.mu.

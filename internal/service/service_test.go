@@ -414,3 +414,84 @@ func TestWaitReturnsAfterSideEffects(t *testing.T) {
 		t.Fatal("result not in the store at wake-up")
 	}
 }
+
+// getBlockingStore is a result store whose Get of one key parks until
+// the test releases it, holding a submission inside its store lookup.
+type getBlockingStore struct {
+	resultStore
+	key     string
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *getBlockingStore) Get(key string) (StoredResult, bool) {
+	if key == b.key {
+		close(b.entered)
+		<-b.release
+	}
+	return b.resultStore.Get(key)
+}
+
+// TestSubmitStoreLookupOutsideLock is the regression test for a store
+// read made under the service lock: while one submission's lookup is
+// parked, listing jobs and submitting another spec must still return.
+func TestSubmitStoreLookupOutsideLock(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ResultDir = t.TempDir()
+	s := newTestService(t, cfg)
+	parked := cheapSpec()
+	warm, measure, seed := s.budgets(parked)
+	key, err := parked.key(warm, measure, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := &getBlockingStore{resultStore: s.store, key: key, entered: make(chan struct{}), release: make(chan struct{})}
+	s.store = gs
+	release := sync.OnceFunc(func() { close(gs.release) })
+	defer release() // a failing check must not leave the submission parked
+
+	submitted := make(chan JobView, 1)
+	go func() {
+		v, err := s.Submit(parked)
+		if err != nil {
+			t.Errorf("parked Submit: %v", err)
+		}
+		submitted <- v
+	}()
+	select {
+	case <-gs.entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("Submit never reached the store")
+	}
+
+	other := make(chan JobView, 1)
+	go func() {
+		s.Jobs()
+		spec := cheapSpec()
+		spec.Scheme = "nl-miss"
+		v, err := s.Submit(spec)
+		if err != nil {
+			t.Errorf("second Submit: %v", err)
+		}
+		other <- v
+	}()
+	var ov JobView
+	select {
+	case ov = <-other:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Jobs and Submit blocked behind a parked store read")
+	}
+
+	release()
+	var pv JobView
+	select {
+	case pv = <-submitted:
+	case <-time.After(60 * time.Second):
+		t.Fatal("parked Submit did not return after release")
+	}
+	for _, id := range []string{pv.ID, ov.ID} {
+		if v := waitDone(t, s, id); v.State != StateCompleted {
+			t.Fatalf("job %s state = %s (err %q), want %s", id, v.State, v.Error, StateCompleted)
+		}
+	}
+}
