@@ -208,21 +208,12 @@ func runSweep(ctx context.Context, path string) error {
 
 	// Spec budgets, when present, win over the -n/-warm/-seed flags so a
 	// spec file is self-contained and reproducible.
-	w, n, s := *warm, *measure, *seed
-	if spec.WarmInstrs != 0 {
-		w = spec.WarmInstrs
-	}
-	if spec.MeasureInstrs != 0 {
-		n = spec.MeasureInstrs
-	}
-	if spec.Seed != 0 {
-		s = spec.Seed
-	}
-	e := sim.NewEngine(w, n, s)
+	e := sim.NewEngine(*warm, *measure, *seed)
 	if *verbose {
 		e.Verbose = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
-	id := spec.ID(w, n, s)
+	b := e.Resolve(spec.Budgets())
+	id := spec.ID(b.WarmInstrs, b.MeasureInstrs, b.Seed)
 
 	var journal *sweep.Journal
 	if *ckptDir != "" {

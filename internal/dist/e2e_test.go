@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -206,4 +208,78 @@ func TestCoordinatorRestartDoesNotRecompute(t *testing.T) {
 			c2.Simulations, v.Total-journaled, v.Total, journaled)
 	}
 	verifyJournal(t, dir, spec, final)
+}
+
+// TestWorkerForkWarmSweep runs a fork-warm grid through the coordinator
+// and one worker. Every journaled point must equal what a local Runner
+// produces under the same budgets, and the worker must run each warm
+// phase once: one lease holds the whole grid, so its engine simulates
+// every point plus one warm-up per warm group.
+func TestWorkerForkWarmSweep(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec()
+	spec.ForkWarm = true
+	c := New(Config{LeaseTTL: 10 * time.Second, ShardSize: 64, JournalDir: dir})
+	v, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newTestWorker(newDistServer(t, c), "fork")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	final, err := c.Wait(ctx, v.ID)
+	cancel()
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != SweepCompleted || final.Completed != v.Total {
+		t.Fatalf("sweep ended %s with %d/%d points (%s)", final.State, final.Completed, v.Total, final.Error)
+	}
+
+	// The spec pins every budget, so the local engine's defaults never
+	// apply.
+	local, err := (&sweep.Runner{Engine: sim.DefaultEngine()}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := sweep.OpenJournal(filepath.Join(dir, v.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := func(res sweep.PointResult) string {
+		res.CreatedAt, res.ElapsedMS = time.Time{}, 0
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	warmKeys := map[string]bool{}
+	for _, want := range local.Points {
+		got, ok := j.Get(want.Key)
+		if !ok {
+			t.Fatalf("point %d (%s) missing from the journal", want.Point.Index, want.Key)
+		}
+		if canon(got) != canon(want) {
+			t.Errorf("point %d: worker result %s, local %s", want.Point.Index, canon(got), canon(want))
+		}
+		rs, err := want.Point.RunSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmKeys[rs.WarmKey()] = true
+	}
+	if len(warmKeys) >= len(local.Points) {
+		t.Fatalf("%d warm groups for %d points: the grid shares no warm phase", len(warmKeys), len(local.Points))
+	}
+	if got, want := w.EngineCounters().Simulations, uint64(len(local.Points)+len(warmKeys)); got != want {
+		t.Fatalf("worker ran %d simulations, want %d (%d points + %d warm groups)",
+			got, want, len(local.Points), len(warmKeys))
+	}
 }

@@ -15,10 +15,11 @@ import (
 )
 
 // Worker is the remote execution half of the subsystem: it registers
-// with a coordinator, pulls shard leases, runs each point on a local
-// memoising sim.Engine (one per budget combination, like the service
-// layer), streams every completed point back immediately, and renews
-// its lease heartbeat while the shard runs. A worker whose heartbeat
+// with a coordinator, pulls shard leases, runs each shard through
+// RunBatchContext on one local memoising sim.Engine (each lease's
+// budgets ride in its run specs, so leases of any budgets share it),
+// streams every completed point back immediately, and renews its lease
+// heartbeat while the shard runs. A worker whose heartbeat
 // discovers the lease is gone abandons the shard — the coordinator has
 // already reinjected it — and any points it delivered anyway are
 // absorbed idempotently.
@@ -48,7 +49,7 @@ type Worker struct {
 
 	mu         sync.Mutex
 	id         string
-	engines    map[string]*sim.Engine
+	eng        *sim.Engine
 	registered bool
 }
 
@@ -66,37 +67,20 @@ func (w *Worker) ID() string {
 	return w.id
 }
 
-// engineFor returns (creating if needed) the engine for one budget/seed
-// combination.
-func (w *Worker) engineFor(warm, measure, seed uint64) *sim.Engine {
+// engine returns the worker's engine, built on first use. Every lease
+// pins its budgets, so the engine's defaults never apply.
+func (w *Worker) engine() *sim.Engine {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.engines == nil {
-		w.engines = make(map[string]*sim.Engine)
+	if w.eng == nil {
+		w.eng = sim.DefaultEngine()
 	}
-	k := fmt.Sprintf("%d|%d|%d", warm, measure, seed)
-	e, ok := w.engines[k]
-	if !ok {
-		e = sim.NewEngine(warm, measure, seed)
-		w.engines[k] = e
-	}
-	return e
+	return w.eng
 }
 
-// EngineCounters sums the run-sharing counters across every engine the
-// worker instantiated (tests assert recompute-freedom through this).
-func (w *Worker) EngineCounters() sim.Counters {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out sim.Counters
-	for _, e := range w.engines {
-		c := e.Counters()
-		out.Simulations += c.Simulations
-		out.MemoHits += c.MemoHits
-		out.DedupWaits += c.DedupWaits
-	}
-	return out
-}
+// EngineCounters returns the worker engine's run-sharing counters
+// (tests assert recompute-freedom through this).
+func (w *Worker) EngineCounters() sim.Counters { return w.engine().Counters() }
 
 // Run registers the worker and processes leases until ctx fires or the
 // coordinator quarantines it. Transient coordinator failures are
@@ -210,47 +194,7 @@ func (w *Worker) runLease(ctx context.Context, workerID string, l *Lease, ttl ti
 	if conc <= 0 {
 		conc = 1
 	}
-	eng := w.engineFor(l.WarmInstrs, l.MeasureInstrs, l.Seed)
-	var firstErr error
-	anyFork := false
-	for _, p := range l.Points {
-		if p.ForkWarm {
-			anyFork = true
-			break
-		}
-	}
-	if anyFork {
-		// Fork-warm shards route through the engine's batching layer so
-		// points sharing a warm phase fork from one snapshot; results
-		// still stream back individually as each point completes.
-		firstErr = w.runBatch(leaseCtx, eng, workerID, l, conc)
-	} else {
-		sem := make(chan struct{}, conc)
-		var wg sync.WaitGroup
-		var errMu sync.Mutex
-		fail := func(err error) {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-		}
-		for _, p := range l.Points {
-			if leaseCtx.Err() != nil {
-				break
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(p sweep.Point) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := w.runPoint(leaseCtx, eng, workerID, l, p); err != nil {
-					fail(err)
-				}
-			}(p)
-		}
-		wg.Wait()
-	}
+	firstErr := w.runBatch(leaseCtx, workerID, l, conc)
 	cancel()
 	hbWG.Wait()
 
@@ -329,31 +273,29 @@ func (w *Worker) ensureTraces(ctx context.Context, l *Lease) error {
 	return nil
 }
 
-// runBatch resolves a fork-warm shard through RunBatchContext and
-// streams each point back as it completes. Submission failures surface
-// as the batch's first error like any simulation failure.
-func (w *Worker) runBatch(ctx context.Context, eng *sim.Engine, workerID string, l *Lease, conc int) error {
+// runBatch resolves a shard through RunBatchContext, which forks
+// fork-warm points sharing a warm phase from one snapshot and runs the
+// rest solo, and streams each point back as it completes. Submission
+// failures surface as the batch's first error like any simulation
+// failure.
+func (w *Worker) runBatch(ctx context.Context, workerID string, l *Lease, conc int) error {
 	specs := make([]sim.RunSpec, len(l.Points))
-	keys := make([]string, len(l.Points))
 	for i, p := range l.Points {
-		key, err := p.Key(l.WarmInstrs, l.MeasureInstrs, l.Seed)
-		if err != nil {
-			return err
-		}
 		rs, err := p.RunSpec()
 		if err != nil {
 			return err
 		}
-		keys[i], specs[i] = key, rs
+		rs.WarmInstrs, rs.MeasureInstrs, rs.Seed = l.WarmInstrs, l.MeasureInstrs, l.Seed
+		specs[i] = rs
 	}
 	var errMu sync.Mutex
 	var submitErr error
-	err := eng.RunBatchContext(ctx, specs, conc, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
+	err := w.engine().RunBatchContext(ctx, specs, conc, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
 		if err != nil {
 			return // RunBatchContext returns the first error itself
 		}
 		p := l.Points[i]
-		res := sweep.NewPointResult(p, keys[i], simRes, elapsed)
+		res := sweep.NewPointResult(p, specs[i].Key(), simRes, elapsed)
 		if _, err := w.Client.SubmitPoint(ctx, l.SweepID, workerID, res); err != nil {
 			errMu.Lock()
 			if submitErr == nil {
@@ -372,29 +314,4 @@ func (w *Worker) runBatch(ctx context.Context, eng *sim.Engine, workerID string,
 	errMu.Lock()
 	defer errMu.Unlock()
 	return submitErr
-}
-
-// runPoint simulates one grid point and delivers the result.
-func (w *Worker) runPoint(ctx context.Context, eng *sim.Engine, workerID string, l *Lease, p sweep.Point) error {
-	key, err := p.Key(l.WarmInstrs, l.MeasureInstrs, l.Seed)
-	if err != nil {
-		return err
-	}
-	rs, err := p.RunSpec()
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	simRes, err := eng.RunContext(ctx, rs)
-	if err != nil {
-		return err
-	}
-	res := sweep.NewPointResult(p, key, simRes, time.Since(start))
-	if _, err := w.Client.SubmitPoint(ctx, l.SweepID, workerID, res); err != nil {
-		return fmt.Errorf("dist: submit point %d: %w", p.Index, err)
-	}
-	if w.OnPoint != nil {
-		w.OnPoint(res)
-	}
-	return nil
 }

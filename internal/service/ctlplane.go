@@ -235,11 +235,10 @@ func (s *Service) adoptOrphanedSweeps() {
 		// Identity hashes the spec verbatim plus resolved budgets, so
 		// budgets cannot be pinned into the spec; mismatched defaults
 		// (skewed replica config) make the sweep unadoptable here.
-		warm, measure, seed := s.budgets(JobSpec{
-			WarmInstrs: meta.Spec.WarmInstrs, MeasureInstrs: meta.Spec.MeasureInstrs, Seed: meta.Spec.Seed})
-		if warm != meta.Warm || measure != meta.Measure || seed != meta.Seed {
+		b := s.engine.Resolve(meta.Spec.Budgets())
+		if b.WarmInstrs != meta.Warm || b.MeasureInstrs != meta.Measure || b.Seed != meta.Seed {
 			s.logf("service: adopt %s: budget defaults differ from submitter's (%d/%d/%d vs %d/%d/%d), skipping",
-				id, warm, measure, seed, meta.Warm, meta.Measure, meta.Seed)
+				id, b.WarmInstrs, b.MeasureInstrs, b.Seed, meta.Warm, meta.Measure, meta.Seed)
 			continue
 		}
 		if _, err := s.SubmitSweep(meta.Spec); err != nil {

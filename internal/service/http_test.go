@@ -138,6 +138,8 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	for _, want := range []string{
 		"iprefetchd_jobs_submitted_total 2",
 		"iprefetchd_engine_simulations_total 1",
+		// One simulation, so the engine memo holds one result.
+		"iprefetchd_engine_memo_entries 1",
 		"iprefetchd_job_duration_seconds_count 1",
 		"iprefetchd_workers 2",
 		// Both submissions read the disk; the second one's record is

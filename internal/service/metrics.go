@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the per-job latency
@@ -218,17 +220,11 @@ func (m *Metrics) componentsLocked() map[string]ComponentCount {
 	return out
 }
 
-// EngineCounters is the subset of engine state the exposition reports;
-// it matches sim.Engine.Counters without importing it here.
-type EngineCounters struct {
-	Simulations, MemoHits, DedupWaits uint64
-}
-
 // WriteProm renders the metrics in Prometheus text exposition format.
 // queueDepth, workers and activeSweeps are gauges owned by the
 // service; engine carries the underlying engine's run-sharing
 // counters, and cache the result store's hit cache.
-func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, engine EngineCounters, cache StoreCacheStats) {
+func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, engine sim.Counters, cache StoreCacheStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	counter := func(name, help string, v uint64) {
@@ -251,6 +247,7 @@ func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, 
 	counter("iprefetchd_engine_simulations_total", "Simulations actually executed by the engine.", engine.Simulations)
 	counter("iprefetchd_engine_memo_hits_total", "Engine runs answered from the in-memory memo.", engine.MemoHits)
 	counter("iprefetchd_engine_dedup_waits_total", "Engine runs that joined an identical in-flight simulation.", engine.DedupWaits)
+	gauge("iprefetchd_engine_memo_entries", "Results held in the engine's in-memory memo; grows with each distinct run.", int64(engine.MemoEntries))
 	counter("iprefetchd_sweeps_submitted_total", "Design-space sweeps accepted.", m.sweepsSubmitted)
 	counter("iprefetchd_sweeps_completed_total", "Sweeps finished successfully.", m.sweepsCompleted)
 	counter("iprefetchd_sweeps_failed_total", "Sweeps finished with an error.", m.sweepsFailed)

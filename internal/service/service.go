@@ -153,6 +153,7 @@ type Service struct {
 	corpus  *corpus.Store   // nil when persistence is disabled
 	fetcher *corpus.Fetcher // nil without CorpusPeers
 	metrics *Metrics
+	engine  *sim.Engine // runs jobs, sweeps and figures; default budgets from cfg
 	dist    *dist.Coordinator
 	broker  *ctlplane.Broker
 	adopted uint64 // sweeps resumed from the shared journal (atomic)
@@ -175,7 +176,6 @@ type Service struct {
 	jobs     map[string]*job // by id
 	inflight map[string]*job // by canonical key; queued or running only
 	sweeps   map[string]*sweepRun
-	engines  map[string]*sim.Engine
 	nextID   uint64
 	closed   bool
 	limiter  *ctlplane.Limiter // nil when admission control is disabled
@@ -214,11 +214,11 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		metrics:  NewMetrics(),
+		engine:   sim.NewEngine(cfg.DefaultWarmInstrs, cfg.DefaultMeasureInstrs, cfg.Seed),
 		broker:   ctlplane.NewBroker(0),
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		engines:  make(map[string]*sim.Engine),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.ResultDir != "" {
@@ -329,47 +329,8 @@ func (s *Service) activeSweepsLocked() int {
 // Workers returns the worker-pool size.
 func (s *Service) Workers() int { return s.cfg.Workers }
 
-// EngineCounters sums the run-sharing counters of every engine the
-// service has instantiated (one per distinct budget/seed combination).
-func (s *Service) EngineCounters() EngineCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out EngineCounters
-	for _, e := range s.engines {
-		c := e.Counters()
-		out.Simulations += c.Simulations
-		out.MemoHits += c.MemoHits
-		out.DedupWaits += c.DedupWaits
-	}
-	return out
-}
-
-// budgets resolves a spec's budget dimensions against the defaults.
-func (s *Service) budgets(spec JobSpec) (warm, measure, seed uint64) {
-	warm, measure, seed = spec.WarmInstrs, spec.MeasureInstrs, spec.Seed
-	if warm == 0 {
-		warm = s.cfg.DefaultWarmInstrs
-	}
-	if measure == 0 {
-		measure = s.cfg.DefaultMeasureInstrs
-	}
-	if seed == 0 {
-		seed = s.cfg.Seed
-	}
-	return warm, measure, seed
-}
-
-// engineFor returns (creating if needed) the engine for one budget/seed
-// combination. Caller must hold s.mu.
-func (s *Service) engineFor(warm, measure, seed uint64) *sim.Engine {
-	k := fmt.Sprintf("%d|%d|%d", warm, measure, seed)
-	e, ok := s.engines[k]
-	if !ok {
-		e = sim.NewEngine(warm, measure, seed)
-		s.engines[k] = e
-	}
-	return e
-}
+// EngineCounters returns the service engine's run-sharing counters.
+func (s *Service) EngineCounters() sim.Counters { return s.engine.Counters() }
 
 // Submit validates and enqueues a simulation request. The fast paths
 // return a finished or shared job without queueing anything: a spec
@@ -380,11 +341,11 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if err := spec.Validate(); err != nil {
 		return JobView{}, err
 	}
-	warm, measure, seed := s.budgets(spec)
-	key, err := spec.key(warm, measure, seed)
+	rs, err := spec.runSpec()
 	if err != nil {
 		return JobView{}, err
 	}
+	key := s.engine.Resolve(rs).Key()
 
 	s.mu.Lock()
 	v, done, err := s.joinLocked(key)
@@ -500,13 +461,11 @@ func (s *Service) runJob(j *job) {
 		defer cancel()
 	}
 
-	warm, measure, seed := s.budgets(j.spec)
 	rs, specErr := j.spec.runSpec()
 
 	s.mu.Lock()
 	j.state = StateRunning
 	j.startedAt = time.Now()
-	eng := s.engineFor(warm, measure, seed)
 	s.mu.Unlock()
 	s.metrics.JobStarted()
 	s.publish("job/"+j.id, "job-running", struct {
@@ -516,7 +475,7 @@ func (s *Service) runJob(j *job) {
 	var res sim.Result
 	err := specErr
 	if err == nil {
-		res, err = eng.RunContext(ctx, rs)
+		res, err = s.engine.RunContext(ctx, rs)
 	}
 	finished := time.Now()
 
@@ -652,12 +611,9 @@ func (s *Service) Wait(ctx context.Context, id string) (JobView, error) {
 }
 
 // RunFigure executes one figure or ablation runner (id "1".."10",
-// "a1".."a10") on the default-budget engine under ctx.
+// "a1".."a10") at the default budgets under ctx.
 func (s *Service) RunFigure(ctx context.Context, id string) (string, []*stats.Table, error) {
-	s.mu.Lock()
-	eng := s.engineFor(s.cfg.DefaultWarmInstrs, s.cfg.DefaultMeasureInstrs, s.cfg.Seed)
-	s.mu.Unlock()
-	for _, r := range append(eng.Figures(), eng.Ablations()...) {
+	for _, r := range append(s.engine.Figures(), s.engine.Ablations()...) {
 		if r.ID == id {
 			tables, err := r.Run(ctx)
 			return r.Name, tables, err

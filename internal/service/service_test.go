@@ -440,11 +440,11 @@ func TestSubmitStoreLookupOutsideLock(t *testing.T) {
 	cfg.ResultDir = t.TempDir()
 	s := newTestService(t, cfg)
 	parked := cheapSpec()
-	warm, measure, seed := s.budgets(parked)
-	key, err := parked.key(warm, measure, seed)
+	rs, err := parked.runSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := s.engine.Resolve(rs).Key()
 	gs := &getBlockingStore{resultStore: s.store, key: key, entered: make(chan struct{}), release: make(chan struct{})}
 	s.store = gs
 	release := sync.OnceFunc(func() { close(gs.release) })

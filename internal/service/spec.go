@@ -134,7 +134,8 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// runSpec converts the wire spec to the engine's RunSpec.
+// runSpec converts the wire spec to the engine's RunSpec; zero budgets
+// stay zero for the engine to resolve.
 func (s JobSpec) runSpec() (sim.RunSpec, error) {
 	var w sim.Workload
 	if len(s.Apps) > 0 {
@@ -175,6 +176,9 @@ func (s JobSpec) runSpec() (sim.RunSpec, error) {
 		WrongPath:       wp,
 		OffChipGBps:     s.OffChipGBps,
 		ModelWritebacks: s.ModelWritebacks,
+		WarmInstrs:      s.WarmInstrs,
+		MeasureInstrs:   s.MeasureInstrs,
+		Seed:            s.Seed,
 	}
 	if s.L1I != nil {
 		rs.L1I = s.L1I.Config()
@@ -183,18 +187,6 @@ func (s JobSpec) runSpec() (sim.RunSpec, error) {
 		rs.L2 = s.L2.Config()
 	}
 	return rs, nil
-}
-
-// key returns the canonical identity of the simulation this spec
-// requests: the engine's memo key extended with the budget dimensions
-// the engine fixes per instance. Identical keys are deduplicated
-// in-flight and share one entry in the result store.
-func (s JobSpec) key(warm, measure, seed uint64) (string, error) {
-	rs, err := s.runSpec()
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s|warm=%d|measure=%d|seed=%d", rs.Key(), warm, measure, seed), nil
 }
 
 // contentAddress hashes a canonical key into the store's file name.

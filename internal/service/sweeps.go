@@ -84,9 +84,8 @@ func (s *Service) SubmitSweep(spec sweep.Spec) (SweepView, error) {
 	if err != nil {
 		return SweepView{}, err
 	}
-	warm, measure, seed := s.budgets(JobSpec{
-		WarmInstrs: spec.WarmInstrs, MeasureInstrs: spec.MeasureInstrs, Seed: spec.Seed})
-	id := spec.ID(warm, measure, seed)
+	b := s.engine.Resolve(spec.Budgets())
+	id := spec.ID(b.WarmInstrs, b.MeasureInstrs, b.Seed)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,7 +111,6 @@ func (s *Service) SubmitSweep(spec sweep.Spec) (SweepView, error) {
 		s.sweeps = make(map[string]*sweepRun)
 	}
 	s.sweeps[id] = run
-	eng := s.engineFor(warm, measure, seed)
 	s.metrics.SweepSubmitted()
 
 	var journal *sweep.Journal
@@ -126,7 +124,7 @@ func (s *Service) SubmitSweep(spec sweep.Spec) (SweepView, error) {
 			// replica can resume it (leadership takeover) or serve its
 			// progress without having run it.
 			if err := writeSweepMeta(j.Dir(), sweepMeta{
-				Spec: spec, Warm: warm, Measure: measure, Seed: seed,
+				Spec: spec, Warm: b.WarmInstrs, Measure: b.MeasureInstrs, Seed: b.Seed,
 				Total: len(points), SubmittedAt: run.submittedAt,
 			}); err != nil {
 				s.logf("service: sweep %s: persist meta: %v", id, err)
@@ -135,7 +133,7 @@ func (s *Service) SubmitSweep(spec sweep.Spec) (SweepView, error) {
 	}
 	topic := "sweep/" + id
 	runner := &sweep.Runner{
-		Engine:  eng,
+		Engine:  s.engine,
 		Workers: s.cfg.Workers,
 		Journal: journal,
 		Logf:    s.cfg.Logf,

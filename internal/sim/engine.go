@@ -78,8 +78,9 @@ func WorkloadByName(name string, cmpMachine bool) (Workload, bool) {
 	return Workload{}, false
 }
 
-// RunSpec describes one simulation run. The zero value is not runnable;
-// start from the Engine's defaults via Run options.
+// RunSpec describes one simulation run: the machine, the workload, the
+// prefetch scheme and the instruction budgets. The zero value is not
+// runnable; zero budgets take the engine's (see Engine.Resolve).
 type RunSpec struct {
 	Workload Workload
 	Cores    int
@@ -137,15 +138,31 @@ type RunSpec struct {
 	// RunBatchContext. A ForkWarm run is a different methodology from
 	// the default two-phase run, so it memoises under a distinct key.
 	ForkWarm bool
+
+	// WarmInstrs and MeasureInstrs are per-core instruction budgets, and
+	// Seed drives all workload streams; zero takes the engine's value.
+	// They name a result as much as the machine does, so Key covers
+	// them; a Result's JSON leaves them out, so stored results,
+	// journals and artifacts keep their on-disk format.
+	WarmInstrs    uint64 `json:"-"`
+	MeasureInstrs uint64 `json:"-"`
+	Seed          uint64 `json:"-"`
 }
 
-// Key returns a memoisation key covering every field that affects the
-// simulation. The service layer uses the same key for in-flight
-// deduplication and as the basis of its content-addressed result store.
-func (s RunSpec) Key() string { return s.key() }
+// Key returns the run's identity: every field that affects the
+// simulation, budgets included. Call it on a resolved spec (see
+// Engine.Resolve). The engine memoises and deduplicates on it, the
+// service addresses its result store by it and sweeps journal by it.
+func (s RunSpec) Key() string { return s.key() + s.BudgetKey() }
 
-// key returns a memoisation key covering every field that affects the
-// simulation.
+// BudgetKey is the budget part of Key. sweep.Spec.ID appends it to a
+// sweep's canonical JSON, so both identities spell budgets one way.
+func (s RunSpec) BudgetKey() string {
+	return fmt.Sprintf("|warm=%d|measure=%d|seed=%d", s.WarmInstrs, s.MeasureInstrs, s.Seed)
+}
+
+// key covers every field of the machine, workload and scheme; Key adds
+// the budgets.
 func (s RunSpec) key() string {
 	k := fmt.Sprintf("%s|%d|%s|%v|%v|%+v|%+v|%d|%d|%v|%v|%v|%v",
 		s.Workload.Name, s.Cores, s.Scheme, s.Bypass, s.Oracle, s.L1I, s.L2,
@@ -172,6 +189,7 @@ func (s RunSpec) key() string {
 // knobs are neutralised so every member of a warm group builds the
 // identical warm machine. ConfidenceFilter is neutralised too — it
 // forces a discontinuity prefetcher override even under Scheme "none".
+// The measure budget does not touch the warm phase, so it is dropped.
 func (s RunSpec) warmSpec() RunSpec {
 	w := s
 	w.Scheme = "none"
@@ -182,13 +200,14 @@ func (s RunSpec) warmSpec() RunSpec {
 	w.QueueFIFO = false
 	w.ConfidenceFilter = false
 	w.ForkWarm = false
+	w.MeasureInstrs = 0
 	return w
 }
 
 // WarmKey identifies the shared warm-up phase of a ForkWarm spec: specs
 // with equal warm keys warm identical machines, so RunBatchContext runs
 // that warm phase once and forks its snapshot across the group.
-func (s RunSpec) WarmKey() string { return s.warmSpec().key() }
+func (s RunSpec) WarmKey() string { return s.warmSpec().Key() }
 
 // Result carries everything the figures report from one run.
 type Result struct {
@@ -206,15 +225,15 @@ type Result struct {
 	Writebacks uint64
 }
 
-// Engine runs simulations with fixed instruction budgets and memoises
-// results, since several figures share runs (e.g. the no-prefetch
-// baseline appears in Figures 5–9).
+// Engine runs simulations and memoises results, since several figures
+// share runs (e.g. the no-prefetch baseline appears in Figures 5–9).
+// One engine serves runs of any budgets: they are part of the spec.
 type Engine struct {
-	// WarmInstrs and MeasureInstrs are per-core instruction budgets.
+	// WarmInstrs, MeasureInstrs and Seed are the defaults for specs
+	// that leave their budgets zero (see Resolve).
 	WarmInstrs    uint64
 	MeasureInstrs uint64
-	// Seed drives all workload streams.
-	Seed uint64
+	Seed          uint64
 	// Verbose, when non-nil, receives a line per completed run.
 	Verbose func(string)
 
@@ -243,16 +262,36 @@ type Counters struct {
 	// DedupWaits counts runs that joined an identical in-flight
 	// simulation instead of starting their own.
 	DedupWaits uint64
+	// MemoEntries is the number of results the memo holds.
+	MemoEntries uint64
 }
 
 // Counters returns a snapshot of the engine's run-sharing counters.
 func (e *Engine) Counters() Counters {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.counters
+	c := e.counters
+	c.MemoEntries = uint64(len(e.memo))
+	return c
 }
 
-// NewEngine returns an engine with the given per-core budgets.
+// Resolve returns spec with its zero budgets set to the engine's
+// defaults. Every run resolves first, so a spec that leaves a budget
+// zero and one that names the default share a key and a result.
+func (e *Engine) Resolve(spec RunSpec) RunSpec {
+	if spec.WarmInstrs == 0 {
+		spec.WarmInstrs = e.WarmInstrs
+	}
+	if spec.MeasureInstrs == 0 {
+		spec.MeasureInstrs = e.MeasureInstrs
+	}
+	if spec.Seed == 0 {
+		spec.Seed = e.Seed
+	}
+	return spec
+}
+
+// NewEngine returns an engine with the given default per-core budgets.
 func NewEngine(warm, measure uint64, seed uint64) *Engine {
 	return &Engine{
 		WarmInstrs:    warm,
@@ -284,12 +323,13 @@ func (e *Engine) Run(spec RunSpec) (Result, error) {
 // the simulating caller's ctx fired is not memoised, so a later call
 // retries from scratch.
 func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
+	spec = e.Resolve(spec)
 	return e.runShared(ctx, spec, func(ctx context.Context) (Result, error) {
 		return e.simulate(ctx, spec)
 	})
 }
 
-// runShared resolves spec through the memo and singleflight layers:
+// runShared looks a resolved spec up in the memo and singleflight layers:
 // a cached result is returned immediately; a caller that finds an
 // identical spec in flight waits for it; otherwise the caller becomes
 // the leader and executes simFn. Waiters that see the leader abandon
@@ -297,7 +337,7 @@ func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 // back and retry (re-checking memo/inflight, possibly becoming the new
 // leader) instead of inheriting a cancellation that was never theirs.
 func (e *Engine) runShared(ctx context.Context, spec RunSpec, simFn func(context.Context) (Result, error)) (Result, error) {
-	key := spec.key()
+	key := spec.Key()
 	for {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -366,11 +406,11 @@ func (e *Engine) simulate(ctx context.Context, spec RunSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if err := sys.RunContext(ctx, e.WarmInstrs); err != nil {
+	if err := sys.RunContext(ctx, spec.WarmInstrs); err != nil {
 		return Result{}, err
 	}
 	sys.ResetStats()
-	if err := sys.RunContext(ctx, e.MeasureInstrs); err != nil {
+	if err := sys.RunContext(ctx, spec.MeasureInstrs); err != nil {
 		return Result{}, err
 	}
 	sys.Finalize()
@@ -397,7 +437,7 @@ func (e *Engine) warmSnapshot(ctx context.Context, warm RunSpec) (*cmp.Snapshot,
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.RunContext(ctx, e.WarmInstrs); err != nil {
+	if err := sys.RunContext(ctx, warm.WarmInstrs); err != nil {
 		return nil, err
 	}
 	return sys.Snapshot()
@@ -415,7 +455,7 @@ func (e *Engine) measureFrom(ctx context.Context, spec RunSpec, snap *cmp.Snapsh
 		return Result{}, err
 	}
 	sys.ResetStats()
-	if err := sys.RunContext(ctx, e.MeasureInstrs); err != nil {
+	if err := sys.RunContext(ctx, spec.MeasureInstrs); err != nil {
 		return Result{}, err
 	}
 	sys.Finalize()
@@ -515,7 +555,7 @@ func (e *Engine) buildSystem(spec RunSpec) (*cmp.System, error) {
 		override = func(int) prefetch.Prefetcher { return prefetch.NewDiscontinuity(dcfg) }
 	}
 
-	srcs, err := cmp.SourcesFor(spec.Workload.Apps, spec.Cores, e.Seed)
+	srcs, err := cmp.SourcesFor(spec.Workload.Apps, spec.Cores, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -609,7 +649,8 @@ func (e *Engine) WarmContext(ctx context.Context, specs []RunSpec) error {
 // specs: specs with equal warm keys form a group whose scheme-neutral
 // warm phase runs ONCE, is snapshotted, and seeds every member's
 // measurement machine via restore. Non-ForkWarm specs (and memoised
-// members) resolve through the ordinary RunContext path. onResult, when
+// members) resolve through the ordinary RunContext path. Each spec's
+// zero budgets take the engine's (see Resolve). onResult, when
 // non-nil, receives every spec's outcome as it completes, identified by
 // its index into specs; it must be safe for concurrent calls. The
 // returned error is the first failure (results already delivered stand).
@@ -617,6 +658,11 @@ func (e *Engine) RunBatchContext(ctx context.Context, specs []RunSpec, workers i
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	resolved := make([]RunSpec, len(specs))
+	for i, s := range specs {
+		resolved[i] = e.Resolve(s)
+	}
+	specs = resolved
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -665,7 +711,7 @@ func (e *Engine) RunBatchContext(ctx context.Context, specs []RunSpec, workers i
 			var todo []int
 			for _, i := range members {
 				e.mu.Lock()
-				_, hit := e.memo[specs[i].key()]
+				_, hit := e.memo[specs[i].Key()]
 				e.mu.Unlock()
 				if hit {
 					wg.Add(1)

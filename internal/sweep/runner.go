@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -12,12 +11,12 @@ import (
 
 // Runner executes sweeps: it expands a Spec, replays already
 // checkpointed points from the Journal, and shards the remaining
-// points across a bounded worker pool over Engine.RunContext (whose
-// memoisation and in-flight dedup are shared with any other traffic on
-// the same engine, e.g. the service job queue).
+// points across a bounded worker pool through Engine.RunBatchContext
+// (whose memoisation and in-flight dedup are shared with any other
+// traffic on the same engine, e.g. the service job queue).
 type Runner struct {
 	// Engine executes the points; its budgets (WarmInstrs,
-	// MeasureInstrs, Seed) are part of every point's identity.
+	// MeasureInstrs, Seed) apply where the spec leaves its own zero.
 	// Required.
 	Engine *sim.Engine
 	// Workers bounds concurrent simulations. Default: GOMAXPROCS.
@@ -53,13 +52,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	if r.Engine == nil {
 		return nil, fmt.Errorf("sweep: runner needs an engine")
 	}
-	warm, measure, seed := r.Engine.WarmInstrs, r.Engine.MeasureInstrs, r.Engine.Seed
-	if spec.WarmInstrs != 0 && spec.WarmInstrs != warm ||
-		spec.MeasureInstrs != 0 && spec.MeasureInstrs != measure ||
-		spec.Seed != 0 && spec.Seed != seed {
-		return nil, fmt.Errorf("sweep: spec budgets (warm=%d measure=%d seed=%d) disagree with engine (warm=%d measure=%d seed=%d)",
-			spec.WarmInstrs, spec.MeasureInstrs, spec.Seed, warm, measure, seed)
-	}
+	budgets := r.Engine.Resolve(spec.Budgets())
 	points, err := spec.Expand()
 	if err != nil {
 		return nil, err
@@ -84,136 +77,49 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 
 	// Pass 1: replay checkpoints, collect the points still to run.
 	var todo []Point
+	var specs []sim.RunSpec
 	for _, p := range points {
-		key, err := p.Key(warm, measure, seed)
+		rs, err := p.RunSpec()
 		if err != nil {
 			return nil, err
 		}
+		rs.WarmInstrs, rs.MeasureInstrs, rs.Seed = budgets.WarmInstrs, budgets.MeasureInstrs, budgets.Seed
 		if r.Journal != nil {
-			if res, ok := r.Journal.Get(key); ok {
+			if res, ok := r.Journal.Get(rs.Key()); ok {
 				res.Point = p // grid indices may differ across spec edits
 				resolve(res)
 				continue
 			}
 		}
 		todo = append(todo, p)
+		specs = append(specs, rs)
 	}
 	r.logf("sweep %s: %d points (%d checkpointed, %d to run)",
-		spec.ID(warm, measure, seed), len(points), out.Recovered, len(todo))
+		spec.ID(budgets.WarmInstrs, budgets.MeasureInstrs, budgets.Seed), len(points), out.Recovered, len(todo))
 
-	// Pass 2: shard the remainder across the worker pool. Grids with
-	// fork-warm points route through the engine's batching layer so
-	// points sharing a warm phase fork from one snapshot instead of each
-	// re-running the warm-up.
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	anyFork := false
-	for _, p := range todo {
-		if p.ForkWarm {
-			anyFork = true
-			break
-		}
-	}
-	if anyFork {
-		if err := r.runBatch(ctx, todo, workers, warm, measure, seed, resolve); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for _, p := range todo {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p Point) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := r.runPoint(ctx, p, warm, measure, seed)
-			if err != nil {
-				fail(err)
-				return
-			}
-			resolve(res)
-		}(p)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// runBatch resolves the remaining points through RunBatchContext, which
-// groups fork-warm points by shared warm phase and runs the rest solo.
-// Checkpointing happens in the completion callback, so an interrupted
-// batch still resumes from every point that finished.
-func (r *Runner) runBatch(ctx context.Context, todo []Point, workers int, warm, measure, seed uint64, resolve func(PointResult)) error {
-	specs := make([]sim.RunSpec, len(todo))
-	keys := make([]string, len(todo))
-	for i, p := range todo {
-		key, err := p.Key(warm, measure, seed)
-		if err != nil {
-			return err
-		}
-		rs, err := p.RunSpec()
-		if err != nil {
-			return err
-		}
-		keys[i], specs[i] = key, rs
-	}
-	return r.Engine.RunBatchContext(ctx, specs, workers, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
+	// Pass 2: shard the remainder through the engine's batching layer,
+	// which forks fork-warm points sharing a warm phase from one
+	// snapshot and runs the rest solo. Checkpointing happens in the
+	// completion callback, so an interrupted sweep still resumes from
+	// every point that finished.
+	err = r.Engine.RunBatchContext(ctx, specs, r.Workers, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
 		if err != nil {
 			return // RunBatchContext returns the first error itself
 		}
-		res := NewPointResult(todo[i], keys[i], simRes, elapsed)
+		res := NewPointResult(todo[i], specs[i].Key(), simRes, elapsed)
 		if r.Journal != nil {
 			if jerr := r.Journal.Put(res); jerr != nil {
+				// A failed checkpoint costs recomputation on resume,
+				// not correctness; log and continue.
 				r.logf("sweep: checkpoint point %d: %v", todo[i].Index, jerr)
 			}
 		}
 		resolve(res)
 	})
-}
-
-// runPoint simulates one point and checkpoints the result.
-func (r *Runner) runPoint(ctx context.Context, p Point, warm, measure, seed uint64) (PointResult, error) {
-	key, err := p.Key(warm, measure, seed)
 	if err != nil {
-		return PointResult{}, err
+		return nil, err
 	}
-	rs, err := p.RunSpec()
-	if err != nil {
-		return PointResult{}, err
-	}
-	start := time.Now()
-	simRes, err := r.Engine.RunContext(ctx, rs)
-	if err != nil {
-		return PointResult{}, err
-	}
-	res := NewPointResult(p, key, simRes, time.Since(start))
-	if r.Journal != nil {
-		if err := r.Journal.Put(res); err != nil {
-			// A failed checkpoint costs recomputation on resume, not
-			// correctness; log and continue.
-			r.logf("sweep: checkpoint point %d: %v", p.Index, err)
-		}
-	}
-	return res, nil
+	return out, nil
 }
 
 func (r *Runner) logf(format string, args ...any) {

@@ -3,6 +3,8 @@ package sweep
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -127,11 +129,34 @@ func TestInterruptedSweepResumesWithoutRecomputation(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBudgetMismatch(t *testing.T) {
+// TestRunHonoursSpecBudgets: a budget the spec pins wins over the
+// engine's, names every point and yields the result of an engine built
+// with that budget.
+func TestRunHonoursSpecBudgets(t *testing.T) {
 	spec := threeAxisSpec()
-	spec.MeasureInstrs = 999 // engine runs 50k
-	if _, err := (&Runner{Engine: testEngine()}).Run(context.Background(), spec); err == nil {
-		t.Fatal("Run accepted a spec whose budgets disagree with the engine")
+	spec.MeasureInstrs = 30_000 // the engine's default is 50k
+	out, err := (&Runner{Engine: testEngine()}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sim.NewEngine(20_000, 30_000, 1)
+	for _, res := range out.Points {
+		if !strings.Contains(res.Key, "|measure=30000|") {
+			t.Errorf("point %d key %q does not carry the pinned budget", res.Point.Index, res.Key)
+		}
+		rs, err := res.Point.RunSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		simRes, err := ref.Run(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewPointResult(res.Point, res.Key, simRes, 0)
+		want.CreatedAt, want.ElapsedMS = res.CreatedAt, res.ElapsedMS
+		if !reflect.DeepEqual(want, res) {
+			t.Errorf("point %d: got %+v, want %+v", res.Point.Index, res, want)
+		}
 	}
 }
 

@@ -109,11 +109,17 @@ type Spec struct {
 	// fork and cold journals never alias.
 	ForkWarm bool `json:"fork_warm,omitempty"`
 
-	// WarmInstrs / MeasureInstrs / Seed pin the engine budgets the
-	// sweep must run under; zero takes the executing engine's values.
+	// WarmInstrs / MeasureInstrs / Seed pin the budgets every point
+	// runs under; zero takes the executing engine's values.
 	WarmInstrs    uint64 `json:"warm_instrs,omitempty"`
 	MeasureInstrs uint64 `json:"measure_instrs,omitempty"`
 	Seed          uint64 `json:"seed,omitempty"`
+}
+
+// Budgets returns the budgets the spec pins, as a run spec for
+// sim.Engine.Resolve to complete with the engine's defaults.
+func (s Spec) Budgets() sim.RunSpec {
+	return sim.RunSpec{WarmInstrs: s.WarmInstrs, MeasureInstrs: s.MeasureInstrs, Seed: s.Seed}
 }
 
 // Point is one cell of the expanded grid — the sweep-layer analogue of
@@ -171,16 +177,15 @@ func (p Point) RunSpec() (sim.RunSpec, error) {
 	return rs, nil
 }
 
-// Key returns the point's canonical simulation identity under the
-// given engine budgets: the engine's memo key extended with the budget
-// dimensions, exactly as the service layer keys its result store, so
-// journals, stores and in-flight dedup all agree.
+// Key returns the point's run key (sim.RunSpec.Key) under the given
+// budgets, the identity the service's result store uses too.
 func (p Point) Key(warm, measure, seed uint64) (string, error) {
 	rs, err := p.RunSpec()
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s|warm=%d|measure=%d|seed=%d", rs.Key(), warm, measure, seed), nil
+	rs.WarmInstrs, rs.MeasureInstrs, rs.Seed = warm, measure, seed
+	return rs.Key(), nil
 }
 
 // groupKey identifies the point's normalisation group (everything but
@@ -449,7 +454,7 @@ func (s Spec) canonical() []byte {
 // (and therefore a journal), so resubmission after a crash or restart
 // resumes instead of recomputing.
 func (s Spec) ID(warm, measure, seed uint64) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|warm=%d|measure=%d|seed=%d",
-		s.canonical(), warm, measure, seed)))
+	budgets := sim.RunSpec{WarmInstrs: warm, MeasureInstrs: measure, Seed: seed}.BudgetKey()
+	sum := sha256.Sum256(append(s.canonical(), budgets...))
 	return "sweep-" + hex.EncodeToString(sum[:])[:12]
 }
