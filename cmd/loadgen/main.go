@@ -8,19 +8,19 @@
 // plane (queueing, admission, streaming), not the simulator.
 //
 // Point it at a running daemon with -url, or pass -self to spin up an
-// in-process daemon on a loopback port with tiny simulation budgets —
-// the mode `make bench-service` uses, so the benchmark needs no
-// externally managed process. With -self, -quota-per-sec > 0 enables
-// admission control so the run also exercises 429 shedding.
+// in-process daemon on a loopback port with tiny simulation budgets,
+// so the run needs no externally managed process. With -self,
+// -quota-per-sec > 0 enables admission control so the run also
+// exercises 429 shedding.
 //
 // 429 responses are counted as shed work (the admission layer doing its
 // job), honoured with their Retry-After, and excluded from latency
 // percentiles; 503s count as saturation. The report lands on stdout
-// and, with -out, as JSON (BENCH_service.json in CI).
+// and, with -out, as JSON.
 //
 // Example:
 //
-//	loadgen -self -clients 1024 -duration 30s -out BENCH_service.json
+//	loadgen -self -clients 1024 -duration 30s -quota-per-sec 200 -out load.json
 //	loadgen -url http://localhost:8080 -clients 256 -duration 1m
 package main
 

@@ -7,11 +7,11 @@ package corpus
 // chunk hash is the SHA-256 of those bytes — codec-independent, so a
 // chunk re-encoded under a different codec keeps its identity.
 //
-// Two codecs are defined:
+// Two codec ids are defined:
 //
-//	CodecFlate    (0): flate over the record bytes as-is — the same
+//	codecFlate    (0): flate over the record bytes as-is — the same
 //	                   transform the IPFTRC02 container applies.
-//	CodecColumnar (1): a delta+varint column split before flate. The
+//	codecColumnar (1): a delta+varint column split before flate. The
 //	                   interleaved record fields are regrouped into
 //	                   homogeneous streams (all PC deltas, then all
 //	                   instruction counts, then CTI kinds, branch
@@ -21,9 +21,10 @@ package corpus
 //	                   more self-similar than the interleaving, and
 //	                   flate's matches get longer.
 //
-// Ingest encodes every chunk both ways and keeps the smaller payload;
-// the chunk file records which codec won, so readers need no
-// configuration and old files stay readable if the default changes.
+// Ingest writes columnar only: on captures of the four paper workloads
+// it was smaller than flate on every chunk. Flate is read-only
+// compatibility. The chunk file records its codec id, so chunk files
+// written by older stores or federation peers still decode and verify.
 
 import (
 	"bytes"
@@ -37,8 +38,8 @@ import (
 )
 
 const (
-	CodecFlate    byte = 0
-	CodecColumnar byte = 1
+	codecFlate    byte = 0
+	codecColumnar byte = 1
 
 	// flateLevel trades ingest speed for storage density; the corpus
 	// is written once and replayed many times.
@@ -51,9 +52,9 @@ const (
 	maxChunkEncBytes = 1 << 28
 )
 
-// RawRecords returns the self-based record encoding of blocks — the
+// rawRecords returns the self-based record encoding of blocks — the
 // canonical chunk content the CAS hashes and codecs compress.
-func RawRecords(blocks []isa.Block) []byte {
+func rawRecords(blocks []isa.Block) []byte {
 	var buf bytes.Buffer
 	scratch := make([]byte, binary.MaxVarintLen64)
 	var prevNext isa.Addr
@@ -63,7 +64,7 @@ func RawRecords(blocks []isa.Block) []byte {
 	return buf.Bytes()
 }
 
-// decodeRawRecords inverts RawRecords, validating every block.
+// decodeRawRecords inverts rawRecords, validating every block.
 func decodeRawRecords(raw []byte) ([]isa.Block, error) {
 	r := bytes.NewReader(raw)
 	var (
@@ -86,20 +87,11 @@ func decodeRawRecords(raw []byte) ([]isa.Block, error) {
 	}
 }
 
-// EncodePayload compresses blocks under the given codec. raw must be
-// RawRecords(blocks) (callers always have it already). It returns the
-// pre-compression transform length (needed to inflate exactly) and
-// the compressed payload.
-func EncodePayload(codec byte, blocks []isa.Block, raw []byte) (encLen int, payload []byte, err error) {
-	var plain []byte
-	switch codec {
-	case CodecFlate:
-		plain = raw
-	case CodecColumnar:
-		plain = columnarEncode(blocks)
-	default:
-		return 0, nil, fmt.Errorf("unknown chunk codec %d", codec)
-	}
+// encodePayload compresses blocks under the columnar codec. It
+// returns the pre-compression transform length (needed to inflate
+// exactly) and the compressed payload.
+func encodePayload(blocks []isa.Block) (encLen int, payload []byte, err error) {
+	plain := columnarEncode(blocks)
 	comp, err := deflateBytes(plain)
 	if err != nil {
 		return 0, nil, err
@@ -107,11 +99,11 @@ func EncodePayload(codec byte, blocks []isa.Block, raw []byte) (encLen int, payl
 	return len(plain), comp, nil
 }
 
-// DecodePayload inverts EncodePayload. encLen is the chunk's stored
-// pre-compression transform length (the exact inflate target). The
-// result is untrusted until the caller checks the chunk hash against
-// RawRecords of the returned blocks.
-func DecodePayload(codec byte, payload []byte, encLen int) ([]isa.Block, error) {
+// decodePayload inverts a payload under either codec id. encLen is
+// the chunk's stored pre-compression transform length (the exact
+// inflate target). The result is untrusted until the caller checks the
+// chunk hash against rawRecords of the returned blocks.
+func decodePayload(codec byte, payload []byte, encLen int) ([]isa.Block, error) {
 	if encLen < 0 || encLen > maxChunkEncBytes {
 		return nil, fmt.Errorf("implausible chunk transform length %d", encLen)
 	}
@@ -120,9 +112,9 @@ func DecodePayload(codec byte, payload []byte, encLen int) ([]isa.Block, error) 
 		return nil, err
 	}
 	switch codec {
-	case CodecFlate:
+	case codecFlate:
 		return decodeRawRecords(plain)
-	case CodecColumnar:
+	case codecColumnar:
 		return columnarDecode(plain)
 	default:
 		return nil, fmt.Errorf("unknown chunk codec %d", codec)

@@ -386,23 +386,14 @@ func (ing *ingester) add(b *isa.Block) error {
 	return nil
 }
 
-// flush seals the current chunk: hash its raw bytes, compress under
-// both codecs, keep the smaller payload.
+// flush seals the current chunk: hash its raw bytes and compress
+// them under the columnar codec.
 func (ing *ingester) flush() error {
 	raw := ing.cur.Bytes()
 	sum := sha256.Sum256(raw)
-	codec, encLen, payload := CodecFlate, 0, []byte(nil)
-	e0, p0, err := EncodePayload(CodecFlate, ing.curBlocks, raw)
+	encLen, payload, err := encodePayload(ing.curBlocks)
 	if err != nil {
 		return err
-	}
-	encLen, payload = e0, p0
-	e1, p1, err := EncodePayload(CodecColumnar, ing.curBlocks, raw)
-	if err != nil {
-		return err
-	}
-	if len(p1) < len(p0) {
-		codec, encLen, payload = CodecColumnar, e1, p1
 	}
 	ing.chunks = append(ing.chunks, pendingChunk{
 		ref: ChunkRef{
@@ -411,7 +402,7 @@ func (ing *ingester) flush() error {
 			Instrs:  ing.curInstrs,
 			RawLen:  int64(len(raw)),
 		},
-		file: chunkFileBytes(codec, len(raw), encLen, payload),
+		file: chunkFileBytes(codecColumnar, len(raw), encLen, payload),
 	})
 	ing.cur.Reset()
 	ing.curBlocks = ing.curBlocks[:0]
@@ -596,12 +587,12 @@ func decodeChunkFile(hash string, file []byte, verify bool) ([]isa.Block, error)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: chunk %s: %w", hash, err)
 	}
-	blocks, err := DecodePayload(codec, payload, encLen)
+	blocks, err := decodePayload(codec, payload, encLen)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: chunk %s: %w", hash, err)
 	}
 	if verify {
-		raw := RawRecords(blocks)
+		raw := rawRecords(blocks)
 		if len(raw) != rawLen {
 			return nil, fmt.Errorf("corpus: chunk %s: raw length %d, header claims %d", hash, len(raw), rawLen)
 		}

@@ -7,7 +7,7 @@
 // job/sweep progress events with Last-Event-ID resume, and a
 // token-bucket Limiter sheds abusive clients with 429 + Retry-After
 // before they reach the job queue. cmd/loadgen drives the whole stack
-// closed-loop and writes BENCH_service.json.
+// closed-loop; `loadgen -self ... -out` writes its LoadReport as JSON.
 package ctlplane
 
 import (

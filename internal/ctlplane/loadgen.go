@@ -83,8 +83,8 @@ type LoadOpStats struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-// LoadReport is the run summary bench-service persists as
-// BENCH_service.json.
+// LoadReport is the run summary `loadgen -self ... -out` writes as
+// JSON.
 type LoadReport struct {
 	Config     LoadConfig  `json:"config"`
 	DurationS  float64     `json:"duration_s"`

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ import (
 
 // newDistServer mounts the coordinator exactly as the daemon does:
 // under /v1/dist on a fresh mux.
-func newDistServer(t *testing.T, c *Coordinator) *httptest.Server {
+func newDistServer(t testing.TB, c *Coordinator) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.Handle("/v1/dist/", http.StripPrefix("/v1/dist", Handler(c)))
@@ -281,5 +282,57 @@ func TestWorkerForkWarmSweep(t *testing.T) {
 	if got, want := w.EngineCounters().Simulations, uint64(len(local.Points)+len(warmKeys)); got != want {
 		t.Fatalf("worker ran %d simulations, want %d (%d points + %d warm groups)",
 			got, want, len(local.Points), len(warmKeys))
+	}
+}
+
+// BenchmarkFleet runs a 10-point grid through a fresh coordinator over
+// HTTP with 1 and 4 workers, each a full Worker with its own engine,
+// so leases, heartbeats and point submission all cross the wire.
+func BenchmarkFleet(b *testing.B) {
+	spec := sweep.Spec{
+		Name:          "bench",
+		Schemes:       []string{"discontinuity", "nl-miss"},
+		Workloads:     []string{"DB", "TPC-W"},
+		Cores:         []int{1},
+		TableEntries:  []int{512, 1024, 2048},
+		WarmInstrs:    100_000,
+		MeasureInstrs: 200_000,
+		Seed:          1,
+	}
+	for _, n := range []int{1, 4} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			var points, leases uint64
+			for i := 0; i < b.N; i++ {
+				c := New(Config{LeaseTTL: 10 * time.Second, ShardSize: 2})
+				srv := newDistServer(b, c)
+				v, err := c.Submit(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				var wg sync.WaitGroup
+				for w := 0; w < n; w++ {
+					wk := newTestWorker(srv, "bench-"+strconv.Itoa(w))
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						wk.Run(ctx)
+					}()
+				}
+				final, err := c.Wait(context.Background(), v.ID)
+				cancel()
+				wg.Wait()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if final.State != SweepCompleted {
+					b.Fatalf("sweep ended %s: %s", final.State, final.Error)
+				}
+				points += uint64(final.Total)
+				leases += c.Snapshot().LeasesGranted
+			}
+			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+			b.ReportMetric(float64(points)/float64(leases), "points/lease")
+		})
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestLoadGeneratorSmoke drives a short closed-loop run against an
-// in-process daemon — the same path `make bench-service` and the CI
-// smoke use — and checks the report is internally consistent: work
+// in-process daemon — the same path `loadgen -self` and the CI smoke
+// use — and checks the report is internally consistent: work
 // completed, no operation errors, and shed submissions (admission is
 // enabled with a tight anonymous quota) show up as 429 counts rather
 // than failures.

@@ -18,6 +18,10 @@ func smallEngine() *Engine {
 	return NewEngine(150_000, 300_000, 1)
 }
 
+// figureEngine is one smallEngine shared by the figure and ablation
+// tests: ablations reuse the figure baselines, so its memo serves them.
+var figureEngine = sync.OnceValue(smallEngine)
+
 func TestEngineMemoisation(t *testing.T) {
 	e := smallEngine()
 	runs := 0
@@ -115,7 +119,7 @@ func TestFigureRunnersProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs are slow")
 	}
-	e := smallEngine()
+	e := figureEngine()
 	for _, fig := range e.Figures() {
 		tables, err := fig.Run(context.Background())
 		if err != nil {
@@ -147,7 +151,7 @@ func TestAblationRunnersProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation runs are slow")
 	}
-	e := smallEngine()
+	e := figureEngine()
 	for _, abl := range e.Ablations() {
 		tables, err := abl.Run(context.Background())
 		if err != nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // forkSpec is a dense grid where every point shares one scheme-neutral
@@ -147,5 +149,39 @@ func TestForkWarmSweepJournalsAndResumes(t *testing.T) {
 		if f.IPC != g.IPC || f.Cycles != g.Cycles {
 			t.Fatalf("point %d differs across journal replay: %+v vs %+v", i, f, g)
 		}
+	}
+}
+
+// BenchmarkDenseGrid runs a dense same-workload grid cold and then
+// fork-warm, on a fresh engine per iteration so the memo stays out of
+// the comparison. Bypass is pinned off so the implicit baseline shares
+// the grid's warm key, and warm-dominated budgets make the shared
+// warm-up the bulk of a cold point's work.
+func BenchmarkDenseGrid(b *testing.B) {
+	for _, fork := range []bool{false, true} {
+		name := "cold"
+		if fork {
+			name = "fork"
+		}
+		b.Run(name, func(b *testing.B) {
+			spec := Spec{
+				Schemes:       []string{"discontinuity"},
+				Workloads:     []string{"DB"},
+				Cores:         []int{1},
+				Bypass:        []bool{false},
+				TableEntries:  []int{256, 512, 1024, 2048},
+				PrefetchAhead: []int{0, 2, 4},
+				ForkWarm:      fork,
+			}
+			points := 0
+			for i := 0; i < b.N; i++ {
+				out, err := (&Runner{Engine: sim.NewEngine(600_000, 60_000, 1)}).Run(context.Background(), spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				points += len(out.Points)
+			}
+			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+		})
 	}
 }
