@@ -65,13 +65,16 @@ race-fork:
 advgen-smoke:
 	$(GO) run ./cmd/advgen -scheme discontinuity -seed 1 -iters 8 -assert-gain 1.05 -o /tmp/adv_smoke.json
 
-# Short fuzz passes over the trace codecs, the content-defined chunker
-# and workload profile validation; CI runs the same smoke.
+# Short fuzz passes over the trace codecs, the content-defined chunker,
+# workload profile validation and the sweep and job spec decoders; CI
+# runs the same smoke.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=10s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzRoundTripV2 -fuzztime=10s
 	$(GO) test ./internal/corpus -run='^$$' -fuzz=FuzzChunker -fuzztime=10s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzProfileBuild -fuzztime=10s
+	$(GO) test ./internal/sweep -run='^$$' -fuzz=FuzzSweepSpec -fuzztime=10s
+	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzJobSpec -fuzztime=10s
 
 # The repository benchmark's self-test (about 40 s): short runs of
 # every workload must emit every metric BENCHMARK.json names, traced

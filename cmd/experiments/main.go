@@ -4,8 +4,7 @@
 // Usage:
 //
 //	experiments [-figure 1|2|...|10|a1..a10|all] [-n instrs] [-warm instrs]
-//	            [-seed n] [-csv] [-md] [-o dir] [-v] [-parallel=false]
-//	            [-timeout duration]
+//	            [-seed n] [-csv] [-md] [-o dir] [-v] [-timeout duration]
 //	experiments -sweep spec.json [-checkpoint dir] [-workers n] [-data dir]
 //	            [-fork-warm] [...]
 //	experiments -sweep spec.json -dist-coordinator http://host:8080
@@ -66,7 +65,6 @@ var (
 	mdOut     = flag.Bool("md", false, "emit markdown tables")
 	outDir    = flag.String("o", "", "also write each table as a CSV file into this directory")
 	verbose   = flag.Bool("v", false, "log each simulation run")
-	parallel  = flag.Bool("parallel", true, "pre-run simulations concurrently")
 	timeout   = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
 	sweepFile = flag.String("sweep", "", "run a design-space sweep from this spec JSON file instead of figures")
 	ckptDir   = flag.String("checkpoint", "", "journal sweep points under this directory for resumable runs")
@@ -120,14 +118,6 @@ func main() {
 	want := strings.Split(*figure, ",")
 	matched := false
 	start := time.Now()
-	// Pre-warm the full matrix concurrently when regenerating everything;
-	// single figures warm implicitly through memoisation.
-	if *parallel && selected(want, "all") {
-		if err := e.WarmAllContext(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	for _, fig := range e.Figures() {
 		if !selected(want, fig.ID) {
 			continue
@@ -259,14 +249,7 @@ func runSweep(ctx context.Context, path string) error {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return err
 		}
-		files := map[string][]byte{"results.csv": art.CSV()}
-		if data, err := art.JSON(); err == nil {
-			files["results.json"] = data
-		}
-		if p := art.ParetoCSV(); p != nil {
-			files["pareto.csv"] = p
-		}
-		for name, data := range files {
+		for name, data := range art.Files() {
 			if err := os.WriteFile(filepath.Join(*outDir, name), data, 0o644); err != nil {
 				return err
 			}

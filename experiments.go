@@ -29,16 +29,10 @@ type Experiments struct {
 
 // NewExperiments builds an experiment engine.
 func NewExperiments(cfg ExperimentConfig) *Experiments {
-	if cfg.WarmInstrs == 0 {
-		cfg.WarmInstrs = 1_500_000
-	}
-	if cfg.MeasureInstrs == 0 {
-		cfg.MeasureInstrs = 3_000_000
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	eng := sim.NewEngine(cfg.WarmInstrs, cfg.MeasureInstrs, cfg.Seed)
+	b := sim.DefaultEngine().Resolve(sim.RunSpec{
+		WarmInstrs: cfg.WarmInstrs, MeasureInstrs: cfg.MeasureInstrs, Seed: cfg.Seed,
+	})
+	eng := sim.NewEngine(b.WarmInstrs, b.MeasureInstrs, b.Seed)
 	eng.Verbose = cfg.Verbose
 	return &Experiments{eng: eng}
 }

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -63,12 +64,9 @@ type Config struct {
 	// directory local sweeps journal to, so a sweep started locally can
 	// finish distributed and vice versa.
 	JournalDir string
-	// DefaultWarmInstrs / DefaultMeasureInstrs / DefaultSeed are the
-	// engine budgets used when a spec leaves them zero. Defaults
-	// 1.5M / 3M / 1.
-	DefaultWarmInstrs    uint64
-	DefaultMeasureInstrs uint64
-	DefaultSeed          uint64
+	// Resolve fills the budgets a spec leaves zero; the service passes
+	// its engine's. Default sim.DefaultEngine().Resolve.
+	Resolve func(sim.RunSpec) sim.RunSpec
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// NormalizeSpec, when non-nil, rewrites a submitted spec before
@@ -204,14 +202,8 @@ func New(cfg Config) *Coordinator {
 	if cfg.MaxPointFailures <= 0 {
 		cfg.MaxPointFailures = 3
 	}
-	if cfg.DefaultWarmInstrs == 0 {
-		cfg.DefaultWarmInstrs = 1_500_000
-	}
-	if cfg.DefaultMeasureInstrs == 0 {
-		cfg.DefaultMeasureInstrs = 3_000_000
-	}
-	if cfg.DefaultSeed == 0 {
-		cfg.DefaultSeed = 1
+	if cfg.Resolve == nil {
+		cfg.Resolve = sim.DefaultEngine().Resolve
 	}
 	return &Coordinator{
 		cfg:     cfg,
@@ -311,16 +303,8 @@ func (c *Coordinator) Submit(spec sweep.Spec) (SweepView, error) {
 	if err != nil {
 		return SweepView{}, err
 	}
-	warm, measure, seed := spec.WarmInstrs, spec.MeasureInstrs, spec.Seed
-	if warm == 0 {
-		warm = c.cfg.DefaultWarmInstrs
-	}
-	if measure == 0 {
-		measure = c.cfg.DefaultMeasureInstrs
-	}
-	if seed == 0 {
-		seed = c.cfg.DefaultSeed
-	}
+	b := c.cfg.Resolve(spec.Budgets())
+	warm, measure, seed := b.WarmInstrs, b.MeasureInstrs, b.Seed
 	id := spec.ID(warm, measure, seed)
 
 	c.mu.Lock()
@@ -664,15 +648,7 @@ func (c *Coordinator) maybeFinishLocked(ds *distSweep) {
 		Recovered: ds.recovered,
 		Simulated: ds.completed - ds.recovered,
 	}
-	a := out.Artifact()
-	ds.artifacts = make(map[string][]byte)
-	if data, err := a.JSON(); err == nil {
-		ds.artifacts["results.json"] = data
-	}
-	ds.artifacts["results.csv"] = a.CSV()
-	if p := a.ParetoCSV(); p != nil {
-		ds.artifacts["pareto.csv"] = p
-	}
+	ds.artifacts = out.Artifact().Files()
 	ds.sstate = SweepCompleted
 	ds.finishedAt = time.Now()
 	close(ds.done)
@@ -765,14 +741,6 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (SweepView, error) {
 	return c.viewLocked(ds), nil
 }
 
-// artifactContentTypes maps artifact names to media types (mirrors the
-// local sweep path).
-var artifactContentTypes = map[string]string{
-	"results.json": "application/json",
-	"results.csv":  "text/csv; charset=utf-8",
-	"pareto.csv":   "text/csv; charset=utf-8",
-}
-
 // Artifact returns one rendered artifact of a completed sweep.
 func (c *Coordinator) Artifact(id, name string) (data []byte, contentType string, ok bool) {
 	c.mu.Lock()
@@ -785,9 +753,5 @@ func (c *Coordinator) Artifact(id, name string) (data []byte, contentType string
 	if !ok {
 		return nil, "", false
 	}
-	ct := artifactContentTypes[name]
-	if ct == "" {
-		ct = "application/octet-stream"
-	}
-	return data, ct, true
+	return data, sweep.ContentType(name), true
 }

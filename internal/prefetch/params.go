@@ -34,10 +34,18 @@ func kvArgs(args string, apply func(key, val string) error) error {
 	return nil
 }
 
+// maxParam bounds every integer scheme parameter. Parameters size the
+// tables New allocates, and scheme names arrive in job and sweep specs,
+// so an unbounded one would let a request allocate gigabytes.
+const maxParam = 1 << 16
+
 func kvInt(key, val string) (int, error) {
 	n, err := strconv.Atoi(val)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %s=%q is not an integer", key, val)
+	}
+	if n > maxParam {
+		return 0, fmt.Errorf("parameter %s=%d above %d", key, n, maxParam)
 	}
 	return n, nil
 }

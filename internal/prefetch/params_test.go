@@ -64,6 +64,19 @@ func TestParameterizedSchemes(t *testing.T) {
 	}
 }
 
+// TestSchemeParametersBounded pins the cap on integer parameters: they
+// size the tables New allocates.
+func TestSchemeParametersBounded(t *testing.T) {
+	if _, err := New("discontinuity:table=65536"); err != nil {
+		t.Errorf("table=65536 rejected: %v", err)
+	}
+	for _, name := range []string{"discontinuity:table=131072", "streams:n=1000000", "mana:records=1000000", "progmap:entries=131072"} {
+		if _, err := New(name); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 // legacyName asserts the exact pre-parameterization names still work.
 func TestLegacyNamesUnaffected(t *testing.T) {
 	for _, name := range []string{"discontinuity", "discont-2nl", "streams", "mana", "progmap", "lookahead4"} {

@@ -247,7 +247,7 @@ func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, 
 	counter("iprefetchd_engine_simulations_total", "Simulations actually executed by the engine.", engine.Simulations)
 	counter("iprefetchd_engine_memo_hits_total", "Engine runs answered from the in-memory memo.", engine.MemoHits)
 	counter("iprefetchd_engine_dedup_waits_total", "Engine runs that joined an identical in-flight simulation.", engine.DedupWaits)
-	gauge("iprefetchd_engine_memo_entries", "Results held in the engine's in-memory memo; grows with each distinct run.", int64(engine.MemoEntries))
+	gauge("iprefetchd_engine_memo_entries", "Results held in the engine's in-memory memo (FIFO, at most 1024).", int64(engine.MemoEntries))
 	counter("iprefetchd_sweeps_submitted_total", "Design-space sweeps accepted.", m.sweepsSubmitted)
 	counter("iprefetchd_sweeps_completed_total", "Sweeps finished successfully.", m.sweepsCompleted)
 	counter("iprefetchd_sweeps_failed_total", "Sweeps finished with an error.", m.sweepsFailed)

@@ -41,12 +41,11 @@ type Config struct {
 	// persistence (results live only in the engine memo).
 	ResultDir string
 	// DefaultWarmInstrs / DefaultMeasureInstrs are the per-core budgets
-	// used when a spec leaves them zero. Defaults 1.5M / 3M.
+	// and Seed the workload seed used when a spec leaves them zero.
+	// Zero takes sim.DefaultEngine's (1.5M / 3M / 1).
 	DefaultWarmInstrs    uint64
 	DefaultMeasureInstrs uint64
-	// Seed is the workload seed used when a spec leaves it zero.
-	// Default 1.
-	Seed uint64
+	Seed                 uint64
 	// DefaultTimeout bounds each job's execution when the spec sets no
 	// timeout; zero means unbounded.
 	DefaultTimeout time.Duration
@@ -190,15 +189,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.DefaultWarmInstrs == 0 {
-		cfg.DefaultWarmInstrs = 1_500_000
-	}
-	if cfg.DefaultMeasureInstrs == 0 {
-		cfg.DefaultMeasureInstrs = 3_000_000
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.MaxActiveSweeps <= 0 {
 		cfg.MaxActiveSweeps = 8
 	}
@@ -211,10 +201,13 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Version == "" {
 		cfg.Version = "dev"
 	}
+	b := sim.DefaultEngine().Resolve(sim.RunSpec{
+		WarmInstrs: cfg.DefaultWarmInstrs, MeasureInstrs: cfg.DefaultMeasureInstrs, Seed: cfg.Seed,
+	})
 	s := &Service{
 		cfg:      cfg,
 		metrics:  NewMetrics(),
-		engine:   sim.NewEngine(cfg.DefaultWarmInstrs, cfg.DefaultMeasureInstrs, cfg.Seed),
+		engine:   sim.NewEngine(b.WarmInstrs, b.MeasureInstrs, b.Seed),
 		broker:   ctlplane.NewBroker(0),
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
@@ -264,12 +257,10 @@ func New(cfg Config) (*Service, error) {
 		distJournal = filepath.Join(cfg.ResultDir, "sweeps")
 	}
 	s.dist = dist.New(dist.Config{
-		LeaseTTL:             cfg.DistLeaseTTL,
-		JournalDir:           distJournal,
-		DefaultWarmInstrs:    cfg.DefaultWarmInstrs,
-		DefaultMeasureInstrs: cfg.DefaultMeasureInstrs,
-		DefaultSeed:          cfg.Seed,
-		Logf:                 cfg.Logf,
+		LeaseTTL:   cfg.DistLeaseTTL,
+		JournalDir: distJournal,
+		Resolve:    s.engine.Resolve,
+		Logf:       cfg.Logf,
 		// Distributed submissions expand corpus:select(...) axes against
 		// this daemon's index, exactly like local ones, so grid points
 		// reach workers as pinned trace:<id> hashes.

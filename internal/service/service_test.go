@@ -81,6 +81,9 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		{Workload: "no-such-workload", Cores: 1, Scheme: "none"},  // bad workload
 		{Apps: []string{"nope"}, Cores: 1, Scheme: "none"},        // bad app
 		{Workload: "DB", Cores: 1, Scheme: "none", TimeoutMS: -1}, // bad timeout
+		{Workload: "DB", Cores: 1, Scheme: "discontinuity", TableEntries: 300},
+		{Workload: "DB", Cores: 1, Scheme: "discontinuity", TableEntries: -512},
+		{Workload: "DB", Cores: 1, Scheme: "discontinuity", PrefetchAhead: -1},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid spec", spec)

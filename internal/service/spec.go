@@ -111,6 +111,14 @@ func (s JobSpec) Validate() error {
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0")
 	}
+	// The engine builds a discontinuity table of this size, and a size
+	// that is not a power of two panics the worker that builds it.
+	if s.TableEntries < 0 || s.TableEntries&(s.TableEntries-1) != 0 {
+		return fmt.Errorf("table_entries %d not zero or a power of two", s.TableEntries)
+	}
+	if s.PrefetchAhead < 0 {
+		return fmt.Errorf("prefetch_ahead must be >= 0")
+	}
 	if _, err := codesign.CanonicalInsertion(s.Insert); err != nil {
 		return err
 	}

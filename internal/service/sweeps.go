@@ -57,13 +57,6 @@ type SweepView struct {
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
-// artifactContentTypes maps artifact names to their media types.
-var artifactContentTypes = map[string]string{
-	"results.json": "application/json",
-	"results.csv":  "text/csv; charset=utf-8",
-	"pareto.csv":   "text/csv; charset=utf-8",
-}
-
 // SubmitSweep validates and launches a design-space sweep. Sweep
 // identity is content-derived (spec + budgets), so resubmitting an
 // identical spec attaches to the running sweep or returns the
@@ -180,15 +173,7 @@ func (s *Service) runSweep(run *sweepRun, runner *sweep.Runner) {
 	var errMsg string
 	switch {
 	case err == nil:
-		a := out.Artifact()
-		artifacts = make(map[string][]byte)
-		if data, jerr := a.JSON(); jerr == nil {
-			artifacts["results.json"] = data
-		}
-		artifacts["results.csv"] = a.CSV()
-		if p := a.ParetoCSV(); p != nil {
-			artifacts["pareto.csv"] = p
-		}
+		artifacts = out.Artifact().Files()
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		state = SweepCanceled
 		errMsg = err.Error()
@@ -306,9 +291,5 @@ func (s *Service) SweepArtifact(id, name string) (data []byte, contentType strin
 	if !ok {
 		return nil, "", false
 	}
-	ct := artifactContentTypes[name]
-	if ct == "" {
-		ct = "application/octet-stream"
-	}
-	return data, ct, true
+	return data, sweep.ContentType(name), true
 }

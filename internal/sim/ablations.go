@@ -13,23 +13,22 @@ import (
 // actually pay off in this implementation.
 func (e *Engine) Ablations() []Runner {
 	return []Runner{
-		{"a1", "Eviction-counter protection of the discontinuity table", e.AblationA1},
-		{"a2", "Recent-demand prefetch filter", e.AblationA2},
-		{"a3", "Prefetch-ahead distance sweep", e.AblationA3},
-		{"a4", "Prefetch queue discipline (LIFO vs FIFO)", e.AblationA4},
-		{"a5", "Related-work prefetchers (target, Markov, wrong-path)", e.AblationA5},
-		{"a6", "L2 usefulness filter (Luk & Mowry refinement)", e.AblationA6},
-		{"a7", "Confidence filter replacing tag probes (Haga et al.)", e.AblationA7},
-		{"a8", "Off-chip bandwidth sensitivity", e.AblationA8},
-		{"a9", "L1-I replacement policy", e.AblationA9},
-		{"a10", "Write-back traffic modelling", e.AblationA10},
+		e.planned("a1", "Eviction-counter protection of the discontinuity table", e.ablationA1),
+		e.planned("a2", "Recent-demand prefetch filter", e.ablationA2),
+		e.planned("a3", "Prefetch-ahead distance sweep", e.ablationA3),
+		e.planned("a4", "Prefetch queue discipline (LIFO vs FIFO)", e.ablationA4),
+		e.planned("a5", "Related-work prefetchers (target, Markov, wrong-path)", e.ablationA5),
+		e.planned("a6", "L2 usefulness filter (Luk & Mowry refinement)", e.ablationA6),
+		e.planned("a7", "Confidence filter replacing tag probes (Haga et al.)", e.ablationA7),
+		e.planned("a8", "Off-chip bandwidth sensitivity", e.ablationA8),
+		e.planned("a9", "L1-I replacement policy", e.ablationA9),
+		e.planned("a10", "Write-back traffic modelling", e.ablationA10),
 	}
 }
 
-// AblationA1 compares the 2-bit eviction counter against always-replace
+// ablationA1 compares the 2-bit eviction counter against always-replace
 // for the discontinuity table (paper Section 4, table management).
-func (e *Engine) AblationA1(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA1(ctx context.Context) []*stats.Table {
 	ws := PaperWorkloads(true)
 	t := stats.NewTable("Ablation A1: discontinuity table replacement (4-way CMP, bypass; speedup over no prefetch)",
 		append([]string{"Policy"}, workloadNames(ws)...)...)
@@ -54,13 +53,12 @@ func (e *Engine) AblationA1(ctx context.Context) (tables []*stats.Table, err err
 		}
 		t.AddRow(row...)
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA2 measures what the recent-demand filter buys: queue traffic
+// ablationA2 measures what the recent-demand filter buys: queue traffic
 // and performance with and without it (paper Section 4.1).
-func (e *Engine) AblationA2(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA2(ctx context.Context) []*stats.Table {
 	ws := PaperWorkloads(true)
 	t := stats.NewTable("Ablation A2: recent-demand filter (4-way CMP, discontinuity, bypass)",
 		"Configuration", "Workload", "Speedup", "Filtered-recent", "Issued", "Tag probes finding line cached")
@@ -83,14 +81,13 @@ func (e *Engine) AblationA2(ctx context.Context) (tables []*stats.Table, err err
 				fmt.Sprintf("%d", p.ProbedInCache))
 		}
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA3 sweeps the prefetch-ahead distance N of the discontinuity
+// ablationA3 sweeps the prefetch-ahead distance N of the discontinuity
 // prefetcher (the paper picks 4; Figure 9 shows 2 as an accuracy
 // trade-off).
-func (e *Engine) AblationA3(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA3(ctx context.Context) []*stats.Table {
 	ws := PaperWorkloads(true)
 	t := stats.NewTable("Ablation A3: prefetch-ahead distance (4-way CMP, discontinuity, bypass)",
 		"N", "Workload", "Speedup", "Accuracy", "L1I misses vs no-prefetch")
@@ -107,13 +104,12 @@ func (e *Engine) AblationA3(ctx context.Context) (tables []*stats.Table, err err
 				fmt.Sprintf("%.3f", float64(r.Total.L1I.Misses)/float64(base.Total.L1I.Misses)))
 		}
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA4 compares the paper's LIFO prefetch-queue discipline against
+// ablationA4 compares the paper's LIFO prefetch-queue discipline against
 // FIFO.
-func (e *Engine) AblationA4(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA4(ctx context.Context) []*stats.Table {
 	ws := PaperWorkloads(true)
 	t := stats.NewTable("Ablation A4: prefetch queue discipline (4-way CMP, discontinuity, bypass; speedup over no prefetch)",
 		append([]string{"Discipline"}, workloadNames(ws)...)...)
@@ -133,14 +129,13 @@ func (e *Engine) AblationA4(ctx context.Context) (tables []*stats.Table, err err
 		}
 		t.AddRow(row...)
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA5 races the related-work schemes the paper discusses but
+// ablationA5 races the related-work schemes the paper discusses but
 // does not evaluate (Section 2) against its own: a classic target
 // prefetcher, a 2-way Markov prefetcher and wrong-path prefetching.
-func (e *Engine) AblationA5(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA5(ctx context.Context) []*stats.Table {
 	ws := PaperWorkloads(true)
 	t := stats.NewTable("Ablation A5: related-work prefetchers (4-way CMP, bypass)",
 		"Scheme", "Workload", "Speedup", "Residual L1I misses", "Accuracy")
@@ -154,14 +149,13 @@ func (e *Engine) AblationA5(ctx context.Context) (tables []*stats.Table, err err
 				pct(r.Total.Prefetch.Accuracy(), 1))
 		}
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA6 evaluates the Luk & Mowry refinement the paper cites in
+// ablationA6 evaluates the Luk & Mowry refinement the paper cites in
 // Section 2.4: the L2 remembers lines whose previous prefetch was
 // evicted unused and such lines are not re-prefetched.
-func (e *Engine) AblationA6(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA6(ctx context.Context) []*stats.Table {
 	ws := PaperWorkloads(true)
 	t := stats.NewTable("Ablation A6: L2 usefulness filter (4-way CMP, discontinuity, bypass)",
 		"Configuration", "Workload", "Speedup", "Issued", "Dropped-as-useless", "Accuracy")
@@ -182,16 +176,15 @@ func (e *Engine) AblationA6(ctx context.Context) (tables []*stats.Table, err err
 				pct(p.Accuracy(), 1))
 		}
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA7 evaluates the Haga et al. organisation the paper discusses
+// ablationA7 evaluates the Haga et al. organisation the paper discusses
 // in Section 2.4: a per-entry confidence counter in the discontinuity
 // table filters predictions so prefetches can issue WITHOUT probing the
 // cache tags (saving the tag bandwidth the paper's own filter exists to
 // protect).
-func (e *Engine) AblationA7(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA7(ctx context.Context) []*stats.Table {
 	ws := PaperWorkloads(true)
 	t := stats.NewTable("Ablation A7: confidence filter vs tag probing (4-way CMP, discontinuity, bypass)",
 		"Configuration", "Workload", "Speedup", "Issued", "Tag probes", "Accuracy")
@@ -218,16 +211,15 @@ func (e *Engine) AblationA7(ctx context.Context) (tables []*stats.Table, err err
 				pct(p.Accuracy(), 1))
 		}
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA8 sweeps the CMP's off-chip bandwidth. The paper recommends
+// ablationA8 sweeps the CMP's off-chip bandwidth. The paper recommends
 // the next-2-line discontinuity variant "in environments where off-chip
 // bandwidth is constrained"; this ablation quantifies that claim: as
 // bandwidth shrinks, the accuracy-frugal 2NL variant overtakes both the
 // 4NL discontinuity prefetcher and the sequential next-4-lines.
-func (e *Engine) AblationA8(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA8(ctx context.Context) []*stats.Table {
 	t := stats.NewTable("Ablation A8: off-chip bandwidth sensitivity (4-way CMP, bypass; speedup over no prefetch at the same bandwidth)",
 		"Bandwidth", "Workload", "Next-4-lines", "Discontinuity", "Discont (2NL)")
 	workloads := []Workload{
@@ -246,14 +238,13 @@ func (e *Engine) AblationA8(ctx context.Context) (tables []*stats.Table, err err
 			t.AddRow(row...)
 		}
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA9 swaps the L1-I replacement policy. The paper's machines use
+// ablationA9 swaps the L1-I replacement policy. The paper's machines use
 // LRU; FIFO and random replacement show how much the miss rates of
 // Figure 1 depend on it.
-func (e *Engine) AblationA9(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA9(ctx context.Context) []*stats.Table {
 	ws := PaperWorkloads(false)
 	t := stats.NewTable("Ablation A9: L1-I replacement policy (single core, no prefetch; L1-I miss %/instr)",
 		append([]string{"Policy"}, workloadNames(ws)...)...)
@@ -265,15 +256,14 @@ func (e *Engine) AblationA9(ctx context.Context) (tables []*stats.Table, err err
 		}
 		t.AddRow(row...)
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// AblationA10 enables dirty-line write-back traffic, which the baseline
+// ablationA10 enables dirty-line write-back traffic, which the baseline
 // model omits (the paper reports read-side bandwidth). It quantifies how
 // much headroom the off-chip link loses to writes and what that does to
 // the prefetcher.
-func (e *Engine) AblationA10(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) ablationA10(ctx context.Context) []*stats.Table {
 	t := stats.NewTable("Ablation A10: write-back traffic (4-way CMP, discontinuity, bypass)",
 		"Configuration", "Workload", "Speedup vs matching baseline", "Off-chip transfers", "Writebacks")
 	ws := []Workload{
@@ -295,5 +285,5 @@ func (e *Engine) AblationA10(ctx context.Context) (tables []*stats.Table, err er
 				fmt.Sprintf("%d", r.Writebacks))
 		}
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }

@@ -225,9 +225,15 @@ type Result struct {
 	Writebacks uint64
 }
 
+// memoCap bounds the engine's result memo at three times the 341
+// figure and ablation runs, so a whole regeneration stays resident
+// while a long-lived daemon's memo stops growing.
+const memoCap = 1024
+
 // Engine runs simulations and memoises results, since several figures
 // share runs (e.g. the no-prefetch baseline appears in Figures 5–9).
 // One engine serves runs of any budgets: they are part of the spec.
+// The memo holds the latest memoCap results.
 type Engine struct {
 	// WarmInstrs, MeasureInstrs and Seed are the defaults for specs
 	// that leave their budgets zero (see Resolve).
@@ -239,6 +245,8 @@ type Engine struct {
 
 	mu       sync.Mutex
 	memo     map[string]Result
+	memoFIFO []string // memo keys, oldest first
+	memoCap  int      // memoCap; tests lower it
 	inflight map[string]*inflightRun
 	counters Counters
 }
@@ -298,6 +306,7 @@ func NewEngine(warm, measure uint64, seed uint64) *Engine {
 		MeasureInstrs: measure,
 		Seed:          seed,
 		memo:          make(map[string]Result),
+		memoCap:       memoCap,
 		inflight:      make(map[string]*inflightRun),
 	}
 }
@@ -365,9 +374,6 @@ func (e *Engine) runShared(ctx context.Context, spec RunSpec, simFn func(context
 			}
 		}
 		fl := &inflightRun{done: make(chan struct{})}
-		if e.inflight == nil {
-			e.inflight = make(map[string]*inflightRun)
-		}
 		e.inflight[key] = fl
 		e.counters.Simulations++
 		e.mu.Unlock()
@@ -376,10 +382,7 @@ func (e *Engine) runShared(ctx context.Context, spec RunSpec, simFn func(context
 
 		e.mu.Lock()
 		if err == nil {
-			if e.memo == nil {
-				e.memo = make(map[string]Result)
-			}
-			e.memo[key] = res
+			e.remember(key, res)
 		}
 		delete(e.inflight, key)
 		e.mu.Unlock()
@@ -392,6 +395,18 @@ func (e *Engine) runShared(ctx context.Context, spec RunSpec, simFn func(context
 		}
 		return res, err
 	}
+}
+
+// remember memoises a result, evicting the oldest once the memo holds
+// memoCap. Singleflight leaves one leader per key, so key is new.
+// Caller holds e.mu.
+func (e *Engine) remember(key string, res Result) {
+	if len(e.memoFIFO) >= e.memoCap {
+		delete(e.memo, e.memoFIFO[0])
+		e.memoFIFO = e.memoFIFO[1:]
+	}
+	e.memo[key] = res
+	e.memoFIFO = append(e.memoFIFO, key)
 }
 
 // simulate executes spec's warm + measure phases under ctx, selecting
@@ -577,8 +592,7 @@ func (e *Engine) MustRun(spec RunSpec) Result {
 type figureAbort struct{ err error }
 
 // catch recovers a figureAbort raised by mustRun inside a figure body
-// and stores its error in *err. Deferred at the top of every figure and
-// ablation runner.
+// and stores its error in *err. Deferred by every planned runner.
 func catch(err *error) {
 	if p := recover(); p != nil {
 		if a, ok := p.(figureAbort); ok {
@@ -589,10 +603,19 @@ func catch(err *error) {
 	}
 }
 
+// planKey is the context key of a figure body's planning pass: under
+// it mustRun appends each spec to the stored *[]RunSpec and returns a
+// zero Result instead of running it.
+type planKey struct{}
+
 // mustRun is the ctx-aware MustRun used inside figure bodies: instead
 // of returning an error at every call site it panics with figureAbort,
 // which the runner's deferred catch turns into an error return.
 func (e *Engine) mustRun(ctx context.Context, spec RunSpec) Result {
+	if plan, ok := ctx.Value(planKey{}).(*[]RunSpec); ok {
+		*plan = append(*plan, spec)
+		return Result{}
+	}
 	r, err := e.RunContext(ctx, spec)
 	if err != nil {
 		panic(figureAbort{err})
@@ -600,48 +623,30 @@ func (e *Engine) mustRun(ctx context.Context, spec RunSpec) Result {
 	return r
 }
 
-// Warm runs the given specs concurrently (bounded by GOMAXPROCS) and
-// memoises their results, so subsequent figure runners replay them from
-// cache. Simulations are independent and deterministic, so parallel
-// warming changes nothing but wall-clock time.
-func (e *Engine) Warm(specs []RunSpec) error {
-	return e.WarmContext(context.Background(), specs)
-}
-
-// WarmContext is Warm with cancellation: in-flight simulations stop at
-// their next context poll and the first error (which may be ctx.Err())
-// is returned. Submission short-circuits once an error is recorded —
-// warming exists only to fill the memo, so continuing to launch the
-// remaining specs after a failure would burn cycles on results the
-// caller is about to discard.
-func (e *Engine) WarmContext(ctx context.Context, specs []RunSpec) error {
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, spec := range specs {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s RunSpec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, err := e.RunContext(ctx, s); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+// planned returns the runner for a figure body, which plans, then
+// batches: a planning pass of the body records the specs it asks for,
+// RunBatchContext runs them (deduplicated by key) concurrently, and a
+// second pass builds the tables from the memo. So a body is the only
+// place that names its runs, and its tables do not depend on the order
+// runs finish in.
+func (e *Engine) planned(id, name string, body func(context.Context) []*stats.Table) Runner {
+	return Runner{ID: id, Name: name, Run: func(ctx context.Context) (tables []*stats.Table, err error) {
+		defer catch(&err)
+		var specs []RunSpec
+		body(context.WithValue(ctx, planKey{}, &specs))
+		seen := make(map[string]bool, len(specs))
+		batch := specs[:0]
+		for _, s := range specs {
+			if k := e.Resolve(s).Key(); !seen[k] {
+				seen[k] = true
+				batch = append(batch, s)
 			}
-		}(spec)
-	}
-	wg.Wait()
-	return firstErr
+		}
+		if err := e.RunBatchContext(ctx, batch, 0, nil); err != nil {
+			return nil, err
+		}
+		return body(ctx), nil
+	}}
 }
 
 // RunBatchContext executes specs concurrently (bounded by workers;
@@ -767,90 +772,3 @@ func pct(f float64, decimals int) string { return stats.Pct(f, decimals) }
 
 // ratio formats an "X" speedup cell.
 func ratio(f float64) string { return fmt.Sprintf("%.3fX", f) }
-
-// AllSpecs enumerates every simulation the figure and ablation runners
-// perform, so WarmAll can execute them concurrently before the (serial)
-// table construction replays them from cache. Drift between this list
-// and the runners is harmless — anything missing simply runs serially.
-func (e *Engine) AllSpecs() []RunSpec {
-	var specs []RunSpec
-	add := func(s RunSpec) { specs = append(specs, s) }
-
-	// Figure 1: geometry sweep.
-	for _, cfg := range []cache.Config{
-		{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64},
-		{SizeBytes: 32 << 10, Assoc: 1, LineBytes: 64},
-		{SizeBytes: 32 << 10, Assoc: 2, LineBytes: 64},
-		{SizeBytes: 32 << 10, Assoc: 8, LineBytes: 64},
-		{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 32},
-		{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 128},
-		{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 256},
-		{SizeBytes: 16 << 10, Assoc: 4, LineBytes: 64},
-		{SizeBytes: 64 << 10, Assoc: 4, LineBytes: 64},
-		{SizeBytes: 128 << 10, Assoc: 4, LineBytes: 64},
-	} {
-		for _, w := range PaperWorkloads(false) {
-			add(RunSpec{Workload: w, Cores: 1, Scheme: "none", L1I: cfg})
-		}
-	}
-	// Figure 2: L2 capacity sweep.
-	for _, size := range []int{1 << 20, 2 << 20, 4 << 20} {
-		for _, cores := range []int{1, 4} {
-			for _, w := range PaperWorkloads(cores > 1) {
-				add(RunSpec{Workload: w, Cores: cores, Scheme: "none",
-					L2: cache.Config{SizeBytes: size, Assoc: 4, LineBytes: 64}})
-			}
-		}
-	}
-	// Figures 3-10 + ablations: baselines, oracle combos, scheme matrix.
-	for _, cores := range []int{1, 4} {
-		for _, w := range PaperWorkloads(cores > 1) {
-			add(RunSpec{Workload: w, Cores: cores, Scheme: "none"})
-			for _, supers := range [][]isa.SuperCategory{
-				{isa.SuperSequential}, {isa.SuperBranch}, {isa.SuperFunction},
-				{isa.SuperSequential, isa.SuperBranch},
-				{isa.SuperSequential, isa.SuperFunction},
-				{isa.SuperSequential, isa.SuperBranch, isa.SuperFunction},
-			} {
-				var oracle [isa.NumSuperCategories]bool
-				for _, s := range supers {
-					oracle[s] = true
-				}
-				add(RunSpec{Workload: w, Cores: cores, Scheme: "none", Oracle: oracle})
-			}
-			for _, scheme := range paperSchemes() {
-				add(RunSpec{Workload: w, Cores: cores, Scheme: scheme})
-				add(RunSpec{Workload: w, Cores: cores, Scheme: scheme, Bypass: true})
-			}
-		}
-	}
-	for _, w := range PaperWorkloads(true) {
-		add(RunSpec{Workload: w, Cores: 4, Scheme: "discont-2nl", Bypass: true})
-		for _, size := range []int{8192, 4096, 2048, 1024, 512, 256} {
-			add(RunSpec{Workload: w, Cores: 4, Scheme: "discontinuity", Bypass: true, TableEntries: size})
-		}
-		// Ablations (the A1 counter-on case is already in the table-size
-		// sweep above).
-		add(RunSpec{Workload: w, Cores: 4, Scheme: "discontinuity", Bypass: true,
-			NoCounter: true, TableEntries: 512})
-		add(RunSpec{Workload: w, Cores: 4, Scheme: "discontinuity", Bypass: true, NoRecentFilter: true})
-		for _, n := range []int{1, 2, 4, 8} {
-			add(RunSpec{Workload: w, Cores: 4, Scheme: "discontinuity", Bypass: true, PrefetchAhead: n})
-		}
-		add(RunSpec{Workload: w, Cores: 4, Scheme: "discontinuity", Bypass: true, QueueFIFO: true})
-		for _, scheme := range []string{"target", "markov", "wrong-path"} {
-			add(RunSpec{Workload: w, Cores: 4, Scheme: scheme, Bypass: true})
-		}
-		add(RunSpec{Workload: w, Cores: 4, Scheme: "discontinuity", Bypass: true, L2UsefulnessFilter: true})
-		add(RunSpec{Workload: w, Cores: 4, Scheme: "discontinuity", Bypass: true, ConfidenceFilter: true})
-	}
-	return specs
-}
-
-// WarmAll pre-executes every known experiment spec concurrently.
-func (e *Engine) WarmAll() error { return e.Warm(e.AllSpecs()) }
-
-// WarmAllContext is WarmAll with cancellation.
-func (e *Engine) WarmAllContext(ctx context.Context) error {
-	return e.WarmContext(ctx, e.AllSpecs())
-}

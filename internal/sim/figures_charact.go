@@ -9,11 +9,10 @@ import (
 	"repro/internal/stats"
 )
 
-// Figure1 reproduces the instruction-cache geometry sensitivity study:
+// figure1 reproduces the instruction-cache geometry sensitivity study:
 // L1-I miss rate (% per instruction) as associativity, line size and
 // capacity are varied around the 32 KB / 4-way / 64 B default.
-func (e *Engine) Figure1(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure1(ctx context.Context) []*stats.Table {
 	type variant struct {
 		label string
 		cfg   cache.Config
@@ -42,13 +41,12 @@ func (e *Engine) Figure1(ctx context.Context) (tables []*stats.Table, err error)
 		}
 		t.AddRow(row...)
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// Figure2 reproduces the L2 instruction miss rate study: single core vs
+// figure2 reproduces the L2 instruction miss rate study: single core vs
 // 4-way CMP as the L2 capacity is varied (1/2/4 MB).
-func (e *Engine) Figure2(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure2(ctx context.Context) []*stats.Table {
 	t := stats.NewTable("Figure 2: L2$ instruction miss rate (% per instruction)",
 		append([]string{"Configuration"}, workloadNames(PaperWorkloads(true))...)...)
 	for _, size := range []int{1 << 20, 2 << 20, 4 << 20} {
@@ -69,14 +67,13 @@ func (e *Engine) Figure2(ctx context.Context) (tables []*stats.Table, err error)
 			t.AddRow(row...)
 		}
 	}
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// Figure3 reproduces the miss-category breakdowns: (i) instruction cache
+// figure3 reproduces the miss-category breakdowns: (i) instruction cache
 // (single core), (ii) L2 instruction misses (single core), (iii) L2
 // instruction misses (4-way CMP).
-func (e *Engine) Figure3(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure3(ctx context.Context) []*stats.Table {
 	categories := []isa.MissCategory{
 		isa.MissSequential,
 		isa.MissCondTakenFwd, isa.MissCondTakenBwd, isa.MissCondNotTaken,
@@ -118,13 +115,12 @@ func (e *Engine) Figure3(ctx context.Context) (tables []*stats.Table, err error)
 		breakTable("Figure 3(i): Instruction cache miss breakdown (single core)", 1, false),
 		breakTable("Figure 3(ii): L2 cache instruction miss breakdown (single core)", 1, true),
 		breakTable("Figure 3(iii): L2 cache instruction miss breakdown (4-way CMP)", 4, true),
-	}, nil
+	}
 }
 
-// Figure4 reproduces the limits study: performance improvement from
+// figure4 reproduces the limits study: performance improvement from
 // oracle-eliminating classes of instruction misses.
-func (e *Engine) Figure4(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure4(ctx context.Context) []*stats.Table {
 	type combo struct {
 		label  string
 		supers []isa.SuperCategory
@@ -158,7 +154,7 @@ func (e *Engine) Figure4(ctx context.Context) (tables []*stats.Table, err error)
 	return []*stats.Table{
 		oracleTable("Figure 4(i): Speedup from eliminating instruction misses (single core)", 1),
 		oracleTable("Figure 4(ii): Speedup from eliminating instruction misses (4-way CMP)", 4),
-	}, nil
+	}
 }
 
 func workloadNames(ws []Workload) []string {

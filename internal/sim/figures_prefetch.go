@@ -29,11 +29,10 @@ func prettyScheme(name string) string {
 	}
 }
 
-// Figure5 reproduces the miss-rate study: instruction miss rates of the
+// figure5 reproduces the miss-rate study: instruction miss rates of the
 // four prefetch schemes relative to no prefetching, for (i) the
 // instruction cache, (ii) the L2 (single core) and (iii) the L2 (CMP).
-func (e *Engine) Figure5(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure5(ctx context.Context) []*stats.Table {
 	missTable := func(title string, cores int, l2 bool) *stats.Table {
 		ws := PaperWorkloads(cores > 1)
 		t := stats.NewTable(title, append([]string{"Prefetcher"}, workloadNames(ws)...)...)
@@ -62,7 +61,7 @@ func (e *Engine) Figure5(ctx context.Context) (tables []*stats.Table, err error)
 		missTable("Figure 5(i): I$ miss rate (normalized to no prefetch)", 1, false),
 		missTable("Figure 5(ii): L2$ instruction miss rate, single core (normalized)", 1, true),
 		missTable("Figure 5(iii): L2$ instruction miss rate, 4-way CMP (normalized)", 4, true),
-	}, nil
+	}
 }
 
 // speedupTable builds a Figures 6/8-style table: IPC of each scheme over
@@ -82,20 +81,18 @@ func (e *Engine) speedupTable(ctx context.Context, title string, cores int, bypa
 	return t
 }
 
-// Figure6 reproduces the performance study WITHOUT the bypass policy:
+// figure6 reproduces the performance study WITHOUT the bypass policy:
 // aggressive prefetching pollutes the shared L2, capping the gains.
-func (e *Engine) Figure6(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure6(ctx context.Context) []*stats.Table {
 	return []*stats.Table{
 		e.speedupTable(ctx, "Figure 6(i): Speedup by prefetcher, single core (prefetches install into L2)", 1, false, paperSchemes()),
 		e.speedupTable(ctx, "Figure 6(ii): Speedup by prefetcher, 4-way CMP (prefetches install into L2)", 4, false, paperSchemes()),
-	}, nil
+	}
 }
 
-// Figure7 reproduces the pollution study: L2 data miss rate of each
+// figure7 reproduces the pollution study: L2 data miss rate of each
 // prefetcher relative to no prefetching (conventional install policy).
-func (e *Engine) Figure7(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure7(ctx context.Context) []*stats.Table {
 	pollutionTable := func(title string, cores int) *stats.Table {
 		ws := PaperWorkloads(cores > 1)
 		t := stats.NewTable(title, append([]string{"Prefetcher"}, workloadNames(ws)...)...)
@@ -118,23 +115,21 @@ func (e *Engine) Figure7(ctx context.Context) (tables []*stats.Table, err error)
 	return []*stats.Table{
 		pollutionTable("Figure 7(i): L2$ data miss rate (normalized to no prefetch), single core", 1),
 		pollutionTable("Figure 7(ii): L2$ data miss rate (normalized to no prefetch), 4-way CMP", 4),
-	}, nil
+	}
 }
 
-// Figure8 reproduces the performance study WITH the L2-bypass install
+// figure8 reproduces the performance study WITH the L2-bypass install
 // policy of Section 7: prefetches enter the L2 only once proven useful.
-func (e *Engine) Figure8(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure8(ctx context.Context) []*stats.Table {
 	return []*stats.Table{
 		e.speedupTable(ctx, "Figure 8(i): Speedup by prefetcher, single core (L2 bypass prefetches)", 1, true, paperSchemes()),
 		e.speedupTable(ctx, "Figure 8(ii): Speedup by prefetcher, 4-way CMP (L2 bypass prefetches)", 4, true, paperSchemes()),
-	}, nil
+	}
 }
 
-// Figure9 reproduces (i) prefetch accuracy on the CMP and (ii) the
+// figure9 reproduces (i) prefetch accuracy on the CMP and (ii) the
 // performance of the bandwidth-frugal next-2-line discontinuity variant.
-func (e *Engine) Figure9(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure9(ctx context.Context) []*stats.Table {
 	schemes := append(paperSchemes(), "discont-2nl")
 	ws := PaperWorkloads(true)
 
@@ -150,14 +145,13 @@ func (e *Engine) Figure9(ctx context.Context) (tables []*stats.Table, err error)
 	}
 
 	perf := e.speedupTable(ctx, "Figure 9(ii): Speedup incl. next-2-line discontinuity, 4-way CMP (L2 bypass)", 4, true, schemes)
-	return []*stats.Table{acc, perf}, nil
+	return []*stats.Table{acc, perf}
 }
 
-// Figure10 reproduces the table-size sensitivity study: miss coverage of
+// figure10 reproduces the table-size sensitivity study: miss coverage of
 // the discontinuity prefetcher as its prediction table shrinks from 8192
 // to 256 entries, against the next-4-line sequential prefetcher.
-func (e *Engine) Figure10(ctx context.Context) (tables []*stats.Table, err error) {
-	defer catch(&err)
+func (e *Engine) figure10(ctx context.Context) []*stats.Table {
 	sizes := []int{8192, 4096, 2048, 1024, 512, 256}
 	ws := PaperWorkloads(true)
 
@@ -197,7 +191,7 @@ func (e *Engine) Figure10(ctx context.Context) (tables []*stats.Table, err error
 	return []*stats.Table{
 		coverage("Figure 10(i): L1 I$ miss coverage vs discontinuity table size (4-way CMP)", false),
 		coverage("Figure 10(ii): L2$ instruction miss coverage vs discontinuity table size (4-way CMP)", true),
-	}, nil
+	}
 }
 
 // Runner is one figure or ablation entry: a stable id, a display name,
@@ -211,15 +205,15 @@ type Runner struct {
 // Figures maps figure ids to runners, in paper order.
 func (e *Engine) Figures() []Runner {
 	return []Runner{
-		{"1", "I$ miss rate vs cache geometry", e.Figure1},
-		{"2", "L2$ instruction miss rate vs capacity and core count", e.Figure2},
-		{"3", "Instruction miss breakdown by category", e.Figure3},
-		{"4", "Limits study: oracle miss elimination", e.Figure4},
-		{"5", "Prefetcher miss-rate reduction", e.Figure5},
-		{"6", "Prefetcher speedup (conventional install)", e.Figure6},
-		{"7", "L2 data-miss pollution", e.Figure7},
-		{"8", "Prefetcher speedup (L2 bypass)", e.Figure8},
-		{"9", "Prefetch accuracy and discont-2NL", e.Figure9},
-		{"10", "Coverage vs discontinuity table size", e.Figure10},
+		e.planned("1", "I$ miss rate vs cache geometry", e.figure1),
+		e.planned("2", "L2$ instruction miss rate vs capacity and core count", e.figure2),
+		e.planned("3", "Instruction miss breakdown by category", e.figure3),
+		e.planned("4", "Limits study: oracle miss elimination", e.figure4),
+		e.planned("5", "Prefetcher miss-rate reduction", e.figure5),
+		e.planned("6", "Prefetcher speedup (conventional install)", e.figure6),
+		e.planned("7", "L2 data-miss pollution", e.figure7),
+		e.planned("8", "Prefetcher speedup (L2 bypass)", e.figure8),
+		e.planned("9", "Prefetch accuracy and discont-2NL", e.figure9),
+		e.planned("10", "Coverage vs discontinuity table size", e.figure10),
 	}
 }

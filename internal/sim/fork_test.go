@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -284,32 +283,6 @@ func TestLineSizeResolution(t *testing.T) {
 			t.Fatalf("L1I miss ratio with combined 128B overrides = %v", ratio)
 		}
 	})
-}
-
-// TestWarmContextShortCircuits is the regression for the warm-loop bug:
-// after the first spec failed, the loop used to keep submitting every
-// remaining spec.
-func TestWarmContextShortCircuits(t *testing.T) {
-	// One slot serialises the pool, so the bad spec's failure lands
-	// before the loop can race far ahead.
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-
-	e := smallEngine()
-	w := Workload{Name: "DB", Apps: []string{"DB"}}
-	specs := []RunSpec{{Workload: w, Cores: 1, Scheme: "zzz"}} // fails at build
-	for i := 0; i < 8; i++ {
-		s := RunSpec{Workload: w, Cores: 1, Scheme: "discontinuity", TableEntries: 64 << i, Bypass: true}
-		specs = append(specs, s)
-	}
-	if err := e.WarmContext(context.Background(), specs); err == nil {
-		t.Fatal("bad spec warmed without error")
-	}
-	// The bad spec plus at most one valid spec already past the check;
-	// without the short-circuit all 9 would have run.
-	if c := e.Counters(); c.Simulations > 2 {
-		t.Fatalf("WarmContext kept submitting after the first error: %+v", c)
-	}
 }
 
 // TestRunBatchContextMemoAndSolo covers the batching layer's edges:

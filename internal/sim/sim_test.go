@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/stats"
 )
 
 // smallEngine keeps experiment tests fast; shapes at this scale are
@@ -203,7 +204,7 @@ func TestWarmConcurrent(t *testing.T) {
 		{Workload: w2, Cores: 1, Scheme: "none"},
 		{Workload: w2, Cores: 1, Scheme: "discontinuity", Bypass: true},
 	}
-	if err := e.Warm(specs); err != nil {
+	if err := e.RunBatchContext(context.Background(), specs, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Everything warmed: subsequent runs are cache hits.
@@ -216,7 +217,7 @@ func TestWarmConcurrent(t *testing.T) {
 		t.Fatalf("%d specs re-ran after warm", runs)
 	}
 	// Warm surfaces spec errors.
-	if err := e.Warm([]RunSpec{{Workload: w1, Cores: 1, Scheme: "bogus"}}); err == nil {
+	if err := e.RunBatchContext(context.Background(), []RunSpec{{Workload: w1, Cores: 1, Scheme: "bogus"}}, 0, nil); err == nil {
 		t.Fatal("bad spec warmed without error")
 	}
 }
@@ -277,28 +278,97 @@ func TestFigureRunnerCancellation(t *testing.T) {
 	e := NewEngine(500_000_000, 500_000_000, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Figure1(ctx); err == nil {
-		t.Fatal("Figure1 ignored a cancelled context")
-	}
-	if _, err := e.AblationA5(ctx); err == nil {
-		t.Fatal("AblationA5 ignored a cancelled context")
-	}
-	if err := e.WarmContext(ctx, e.AllSpecs()); err == nil {
-		t.Fatal("WarmContext ignored a cancelled context")
+	for _, r := range append(e.Figures(), e.Ablations()...) {
+		if _, err := r.Run(ctx); err == nil {
+			t.Fatalf("runner %s ignored a cancelled context", r.ID)
+		}
 	}
 }
 
-func TestAllSpecsValid(t *testing.T) {
-	e := smallEngine()
-	specs := e.AllSpecs()
-	if len(specs) < 150 {
-		t.Fatalf("suspiciously few specs: %d", len(specs))
+func TestEngineMemoBounded(t *testing.T) {
+	e := NewEngine(20_000, 40_000, 1)
+	e.memoCap = 2
+	w := Workload{Name: "Web", Apps: []string{"Web"}}
+	specs := []RunSpec{
+		{Workload: w, Cores: 1, Scheme: "none"},
+		{Workload: w, Cores: 1, Scheme: "nl-miss"},
+		{Workload: w, Cores: 1, Scheme: "n4l-tagged"},
 	}
-	seen := map[string]bool{}
 	for _, s := range specs {
-		if seen[s.key()] {
-			t.Errorf("duplicate spec: %s", s.key())
+		e.MustRun(s)
+		if n := e.Counters().MemoEntries; n > 2 {
+			t.Fatalf("memo holds %d entries, cap 2", n)
 		}
-		seen[s.key()] = true
+	}
+	// specs[0] was evicted first: it re-simulates, while the newest
+	// spec is still a memo hit.
+	e.MustRun(specs[2])
+	if c := e.Counters(); c.Simulations != 3 || c.MemoHits != 1 {
+		t.Fatalf("newest spec not served from the memo: %+v", c)
+	}
+	e.MustRun(specs[0])
+	if c := e.Counters(); c.Simulations != 4 {
+		t.Fatalf("evicted spec did not re-simulate: %+v", c)
+	}
+}
+
+// TestRunnersPlanEveryRun checks that each runner's planning pass names
+// every run its body performs: the tabulation pass that follows the
+// batch simulates nothing, and the tables equal a serial run of the
+// body on a fresh engine.
+func TestRunnersPlanEveryRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every figure and ablation")
+	}
+	bodies := map[string]func(*Engine, context.Context) []*stats.Table{
+		"1": (*Engine).figure1, "2": (*Engine).figure2, "3": (*Engine).figure3,
+		"4": (*Engine).figure4, "5": (*Engine).figure5, "6": (*Engine).figure6,
+		"7": (*Engine).figure7, "8": (*Engine).figure8, "9": (*Engine).figure9,
+		"10": (*Engine).figure10,
+		"a1": (*Engine).ablationA1, "a2": (*Engine).ablationA2, "a3": (*Engine).ablationA3,
+		"a4": (*Engine).ablationA4, "a5": (*Engine).ablationA5, "a6": (*Engine).ablationA6,
+		"a7": (*Engine).ablationA7, "a8": (*Engine).ablationA8, "a9": (*Engine).ablationA9,
+		"a10": (*Engine).ablationA10,
+	}
+	render := func(tables []*stats.Table) string {
+		var sb strings.Builder
+		for _, tb := range tables {
+			sb.WriteString(tb.String())
+		}
+		return sb.String()
+	}
+	ctx := context.Background()
+	planned := NewEngine(20_000, 40_000, 1)
+	serial := NewEngine(20_000, 40_000, 1)
+	runners := append(planned.Figures(), planned.Ablations()...)
+	if len(runners) != len(bodies) {
+		t.Fatalf("%d runners, %d bodies", len(runners), len(bodies))
+	}
+	for _, r := range runners {
+		body, ok := bodies[r.ID]
+		if !ok {
+			t.Fatalf("no body for runner %s", r.ID)
+		}
+		var before uint64
+		got, err := planned.planned(r.ID, r.Name, func(ctx context.Context) []*stats.Table {
+			if ctx.Value(planKey{}) == nil {
+				before = planned.Counters().Simulations
+			}
+			return body(planned, ctx)
+		}).Run(ctx)
+		if err != nil {
+			t.Fatalf("runner %s: %v", r.ID, err)
+		}
+		if n := planned.Counters().Simulations - before; n != 0 {
+			t.Errorf("runner %s: tabulation pass ran %d unplanned simulations", r.ID, n)
+		}
+		want := body(serial, ctx)
+		if render(got) != render(want) {
+			t.Errorf("runner %s: planned tables differ from the serial body's:\n%s\nwant:\n%s", r.ID, render(got), render(want))
+		}
+		viaRunner, err := r.Run(ctx)
+		if err != nil || render(viaRunner) != render(want) {
+			t.Errorf("runner %s: Run's tables differ from the serial body's (err %v)", r.ID, err)
+		}
 	}
 }

@@ -244,6 +244,31 @@ func (a *Artifact) JSON() ([]byte, error) {
 	return json.MarshalIndent(a, "", "  ")
 }
 
+// Files renders the artifact's downloadable files by name:
+// results.json, results.csv and, when the sweep has a table-size axis,
+// pareto.csv. A results.json that cannot encode is left out.
+func (a *Artifact) Files() map[string][]byte {
+	files := map[string][]byte{"results.csv": a.CSV()}
+	if data, err := a.JSON(); err == nil {
+		files["results.json"] = data
+	}
+	if p := a.ParetoCSV(); p != nil {
+		files["pareto.csv"] = p
+	}
+	return files
+}
+
+// ContentType returns the media type a Files entry is served with.
+func ContentType(name string) string {
+	switch name {
+	case "results.json":
+		return "application/json"
+	case "results.csv", "pareto.csv":
+		return "text/csv; charset=utf-8"
+	}
+	return "application/octet-stream"
+}
+
 func csvOf(t *stats.Table) string {
 	var sb strings.Builder
 	t.CSV(&sb)

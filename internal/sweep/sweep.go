@@ -319,19 +319,30 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
-	if n := s.GridSize(); n > MaxPoints {
-		return fmt.Errorf("sweep: grid has %d points, max %d", n, MaxPoints)
+	if s.GridSize() > MaxPoints {
+		return fmt.Errorf("sweep: grid has more than %d points", MaxPoints)
 	}
 	return nil
 }
 
 // GridSize returns the raw cartesian size before dedup and baseline
-// insertion — an upper bound on the expanded grid.
+// insertion — an upper bound on the expanded grid. A size above
+// MaxPoints saturates at MaxPoints+1, so eleven long axes cannot
+// overflow the product into a small number that passes Validate.
 func (s Spec) GridSize() int {
 	cores, bypass, tables, ahead, inserts, tlbFills, wrongPaths, l1i, l2 := s.axes()
-	return len(s.Workloads) * len(cores) * len(s.Schemes) * len(bypass) *
-		len(tables) * len(ahead) * len(inserts) * len(tlbFills) * len(wrongPaths) *
-		len(l1i) * len(l2)
+	// Only the workload and scheme axes can be empty (the others default
+	// to one value), so they come first: an empty one zeroes the product
+	// before it can saturate.
+	n := 1
+	for _, l := range []int{len(s.Workloads), len(s.Schemes), len(cores), len(bypass),
+		len(tables), len(ahead), len(inserts), len(tlbFills), len(wrongPaths),
+		len(l1i), len(l2)} {
+		if n *= l; n > MaxPoints {
+			return MaxPoints + 1
+		}
+	}
+	return n
 }
 
 // Expand materialises the deterministic grid: the cartesian product of

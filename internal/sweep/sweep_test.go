@@ -157,6 +157,37 @@ func TestSpecValidationCapsGrid(t *testing.T) {
 	}
 }
 
+// overflowSpec repeats a valid value 64 times on each of the eleven
+// axes: the raw grid has 64^11 = 2^66 points, which wraps a 64-bit
+// product to zero.
+func overflowSpec() Spec {
+	var s Spec
+	for i := 0; i < 64; i++ {
+		s.Workloads = append(s.Workloads, "DB")
+		s.Schemes = append(s.Schemes, "none")
+		s.Cores = append(s.Cores, 1)
+		s.Bypass = append(s.Bypass, true)
+		s.TableEntries = append(s.TableEntries, 0)
+		s.PrefetchAhead = append(s.PrefetchAhead, 0)
+		s.Inserts = append(s.Inserts, "")
+		s.TLBFills = append(s.TLBFills, "")
+		s.WrongPaths = append(s.WrongPaths, "")
+		s.L1I = append(s.L1I, Geometry{})
+		s.L2 = append(s.L2, Geometry{})
+	}
+	return s
+}
+
+func TestValidateRejectsOverflowingGrid(t *testing.T) {
+	spec := overflowSpec()
+	if n := spec.GridSize(); n <= MaxPoints {
+		t.Errorf("GridSize = %d for a 2^66-point grid", n)
+	}
+	if err := spec.Validate(); err == nil {
+		t.Fatal("Validate accepted a 2^66-point grid")
+	}
+}
+
 func TestSpecIDStableAcrossBudgets(t *testing.T) {
 	spec := threeAxisSpec()
 	a := spec.ID(10, 20, 1)
